@@ -26,7 +26,7 @@ from .closedform import (
     parse,
 )
 from .genfunc import EmptyParts, RationalGF
-from .polynomial import DuplicateAbscissa, Poly, interpolate
+from .polynomial import Poly, interpolate
 from .quasipoly import NonPositiveModulus, QuasiPoly
 from .triangles import (
     InvalidTriangle,
@@ -44,7 +44,6 @@ from .triangles import (
 __all__ = [
     "Certificate",
     "DivisorNotLiteral",
-    "DuplicateAbscissa",
     "EmptyParts",
     "Expr",
     "ExprSyntaxError",

@@ -102,12 +102,13 @@ def rebuild_model(cert: Certificate) -> QuasiPoly:
     degree <= D quasi-polynomial behind the sequence; it is the object
     soundness_probe extrapolates with.
     """
-    coeffs = cert.gf.coeffs(cert.window.stop - 1)
+    start, stop, period = cert.window.start, cert.window.stop, cert.period
+    coeffs = cert.gf.coeffs(stop - 1)
     constituents = []
-    for r in range(cert.period):
-        pts = [(n, coeffs[n]) for n in cert.window if n % cert.period == r]
-        constituents.append(interpolate(pts))
-    return QuasiPoly(cert.period, tuple(constituents))
+    for r in range(period):
+        first = start + (r - start) % period  # first window index = r mod period
+        constituents.append(interpolate(coeffs[first:stop:period], first, period))
+    return QuasiPoly(period, tuple(constituents))
 
 
 # Fixed linear congruential generator (Knuth's 64-bit parameters), so
@@ -137,7 +138,7 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
 
     Rebuilds the quasi-polynomial from the certificate window, draws
     `probes` deterministic indices in [cert.onset, n_max], and compares
-    its values against the exact coefficients (one recurrence pass up to
+    its values against the exact coefficients (one series expansion up to
     the largest probed index).  True means every probe agreed; with a
     correct implementation this is a consequence of the certified
     theorem, so False indicates a bug (or a tampered certificate).
@@ -203,11 +204,9 @@ def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
     for period in range(1, l_max + 1):
         for degree in range(0, d_max + 1):
             train = (degree + 1) * period
-            constituents = []
-            for r in range(period):
-                pts = [(n, samples[n]) for n in range(r, train, period)]
-                constituents.append(interpolate(pts))
-            model = QuasiPoly(period, tuple(constituents))
+            model = QuasiPoly(period, tuple(
+                interpolate(samples[r:train:period], r, period) for r in range(period)
+            ))
             matches = 0
             verified = True
             for n in range(train, len(samples)):

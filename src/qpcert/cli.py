@@ -12,20 +12,15 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from itertools import chain
 
 from .certify import InsufficientSamples, certify, fit_quasipoly, soundness_probe
-from .closedform import ExprSyntaxError, expr_eval, parse
+from .closedform import ExprSyntaxError, parse
 from .genfunc import EmptyParts, RationalGF
 from .polynomial import Poly
-from .triangles import (
-    andrews_expr,
-    count_bruteforce,
-    list_triangles,
-    triangle_gf,
-)
+from .triangles import count_bruteforce, list_triangles, paper_terms
 
 SCHEMA_VERSION = "1"
 PROBE_N_MAX = 100000
@@ -104,35 +99,39 @@ def _gf_inputs(args) -> dict:
 # -- rendering ----------------------------------------------------------
 
 
-def _emit_json(doc: dict):
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _render(fmt: str, doc: dict, rows, lines):
+    """Print doc as json, rows as csv, or lines as text.
+
+    rows and lines are iterables consumed only for the chosen format, so
+    a long coefficient dump is never built in the forms not printed.
+    """
+    if fmt == "json":
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+    else:
+        for line in lines:
+            print(line)
 
 
-def _emit_csv(rows: list[list[str]]):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _flatten_for_csv(doc: dict) -> list[list[str]]:
-    rows = [["field", "value"]]
+def _csv_fields(doc: dict):
+    """(field, value) rows for the nested result of doc, header first."""
+    yield ["field", "value"]
 
     def walk(prefix, value):
         if isinstance(value, dict):
             for k, v in value.items():
-                walk(f"{prefix}.{k}" if prefix else k, v)
+                yield from walk(f"{prefix}.{k}" if prefix else k, v)
         elif isinstance(value, list):
-            rows.append([prefix, " ".join(str(v) for v in value)])
+            yield [prefix, " ".join(str(v) for v in value)]
         elif isinstance(value, bool):
-            rows.append([prefix, "true" if value else "false"])
+            yield [prefix, "true" if value else "false"]
         elif value is None:
-            rows.append([prefix, ""])
+            yield [prefix, ""]
         else:
-            rows.append([prefix, str(value)])
+            yield [prefix, str(value)]
 
-    walk("", doc["result"])
-    return rows
+    yield from walk("", doc["result"])
 
 
 def _document(command: str, inputs: dict, result: dict) -> dict:
@@ -149,22 +148,32 @@ def _document(command: str, inputs: dict, result: dict) -> dict:
 
 def _cmd_coeffs(args) -> int:
     gf = _gf_from_args(args)
-    coeffs = gf.coeffs(args.upto)
+    coeffs = [str(c) for c in gf.coeffs(args.upto)]
     inputs = _gf_inputs(args)
     inputs["upto"] = str(args.upto)
-    doc = _document("coeffs", inputs, {"coefficients": [str(c) for c in coeffs]})
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        rows = [["n", "coefficient"]]
-        rows += [[str(n), str(c)] for n, c in enumerate(coeffs)]
-        _emit_csv(rows)
-    else:
-        print(" ".join(str(c) for c in coeffs))
+    doc = _document("coeffs", inputs, {"coefficients": coeffs})
+    rows = chain([["n", "coefficient"]], ([str(n), c] for n, c in enumerate(coeffs)))
+    # map() keeps the single text line lazy like the csv rows
+    _render(args.format, doc, rows, map(" ".join, [coeffs]))
     return 0
 
 
 # -- certify ------------------------------------------------------------
+
+
+def _certify_lines(cert, probe):
+    yield f"verdict: {'certified' if cert.certified else 'refuted'}"
+    yield f"degree bound: {cert.degree_bound}"
+    yield f"period: {cert.period}"
+    yield f"onset: {cert.onset}"
+    yield f"window: [{cert.window.start}, {cert.window.stop}) ({len(cert.window)} checks)"
+    if not cert.certified:
+        w = cert.refutation
+        yield f"witness: n={w.n} lhs={w.lhs} rhs={w.rhs}"
+    if probe is not None:
+        verdict = "agreed" if probe["agreed"] else "DISAGREED"
+        yield (f"probe: {probe['probes']} probes up to n={probe['n_max']} "
+               f"(seed {probe['seed']}): {verdict}")
 
 
 def _cmd_certify(args) -> int:
@@ -201,23 +210,7 @@ def _cmd_certify(args) -> int:
         "probe": probe,
     }
     doc = _document("certify", inputs, result)
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        _emit_csv(_flatten_for_csv(doc))
-    else:
-        print(f"verdict: {result['verdict']}")
-        print(f"degree bound: {cert.degree_bound}")
-        print(f"period: {cert.period}")
-        print(f"onset: {cert.onset}")
-        print(f"window: [{cert.window.start}, {cert.window.stop}) ({len(cert.window)} checks)")
-        if not cert.certified:
-            w = cert.refutation
-            print(f"witness: n={w.n} lhs={w.lhs} rhs={w.rhs}")
-        if probe is not None:
-            verdict = "agreed" if probe["agreed"] else "DISAGREED"
-            print(f"probe: {probe['probes']} probes up to n={probe['n_max']} "
-                  f"(seed {probe['seed']}): {verdict}")
+    _render(args.format, doc, _csv_fields(doc), _certify_lines(cert, probe))
     return 0 if cert.certified else 1
 
 
@@ -225,35 +218,20 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_triangles_count(args) -> int:
-    count = count_bruteforce(args.perimeter)
-    inputs = {"perimeter": str(args.perimeter)}
-    doc = _document("triangles count", inputs, {"count": str(count)})
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        _emit_csv([["perimeter", "count"], [str(args.perimeter), str(count)]])
-    else:
-        print(count)
+    count = str(count_bruteforce(args.perimeter))
+    perimeter = str(args.perimeter)
+    doc = _document("triangles count", {"perimeter": perimeter}, {"count": count})
+    _render(args.format, doc, [["perimeter", "count"], [perimeter, count]], [count])
     return 0
 
 
 def _cmd_triangles_list(args) -> int:
     tris = list_triangles(args.perimeter)
-    inputs = {"perimeter": str(args.perimeter)}
-    result = {
-        "count": str(len(tris)),
-        "triangles": [[str(t.x), str(t.y), str(t.z)] for t in tris],
-    }
-    doc = _document("triangles list", inputs, result)
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        rows = [["x", "y", "z"]]
-        rows += [[str(t.x), str(t.y), str(t.z)] for t in tris]
-        _emit_csv(rows)
-    else:
-        for t in tris:
-            print(f"({t.x},{t.y},{t.z})")
+    sides = [[str(t.x), str(t.y), str(t.z)] for t in tris]
+    doc = _document("triangles list", {"perimeter": str(args.perimeter)},
+                    {"count": str(len(tris)), "triangles": sides})
+    _render(args.format, doc, chain([["x", "y", "z"]], sides),
+            (f"({','.join(s)})" for s in sides))
     return 0
 
 
@@ -270,6 +248,15 @@ def _read_values(args) -> list[int]:
         return [int(tok) for tok in text.split()]
     except ValueError as exc:
         raise ValueError(f"values must be whitespace-separated integers: {exc}")
+
+
+def _fit_lines(fit, constituents):
+    yield f"period: {fit.period}"
+    yield f"degree: {fit.degree}"
+    yield f"holdout_verified: {'true' if fit.holdout_verified else 'false'}"
+    yield f"samples_used: {fit.samples_used}"
+    for r, cs in enumerate(constituents):
+        yield f"constituent {r}: {' '.join(cs)}"
 
 
 def _cmd_fit(args) -> int:
@@ -290,17 +277,7 @@ def _cmd_fit(args) -> int:
         "constituents": {str(r): cs for r, cs in enumerate(constituents)},
     }
     doc = _document("fit", inputs, result)
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        _emit_csv(_flatten_for_csv(doc))
-    else:
-        print(f"period: {fit.period}")
-        print(f"degree: {fit.degree}")
-        print(f"holdout_verified: {'true' if fit.holdout_verified else 'false'}")
-        print(f"samples_used: {fit.samples_used}")
-        for r, cs in enumerate(constituents):
-            print(f"constituent {r}: {' '.join(cs)}")
+    _render(args.format, doc, _csv_fields(doc), _fit_lines(fit, constituents))
     return 0
 
 
@@ -308,10 +285,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_paper(args) -> int:
-    gf = triangle_gf()
-    expr = andrews_expr()
-    coeffs = gf.coeffs(36)
-    formula = [expr_eval(expr, n) for n in range(37)]
+    coeffs, formula = paper_terms()
     equal = coeffs == formula
     result = {
         "upto": "36",
@@ -319,18 +293,13 @@ def _cmd_paper(args) -> int:
         "formula": [str(v) for v in formula],
         "equal": equal,
     }
-    doc = _document("paper", {}, result)
-    if args.format == "json":
-        _emit_json(doc)
-    elif args.format == "csv":
-        rows = [["n", "coefficient", "formula"]]
-        rows += [[str(n), str(c), str(v)] for n, (c, v) in enumerate(zip(coeffs, formula))]
-        _emit_csv(rows)
-    else:
-        print(" n  coefficient  formula")
-        for n, (c, v) in enumerate(zip(coeffs, formula)):
-            print(f"{n:2d}  {c:11d}  {v:7d}")
-        print("true" if equal else "false")
+    table = list(enumerate(zip(coeffs, formula)))
+    rows = chain([["n", "coefficient", "formula"]],
+                 ([str(n), str(c), str(v)] for n, (c, v) in table))
+    lines = chain([" n  coefficient  formula"],
+                  (f"{n:2d}  {c:11d}  {v:7d}" for n, (c, v) in table),
+                  ["true" if equal else "false"])
+    _render(args.format, _document("paper", {}, result), rows, lines)
     return 0 if equal else 1
 
 

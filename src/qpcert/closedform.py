@@ -6,13 +6,10 @@ Grammar (whitespace insignificant, +/-/* left associative):
     term   := factor ('*' factor)*
     factor := atom ('^' POSINT)?
     atom   := INT | 'n' | '(' expr ')' | '-' atom
-            | ('floor' | 'round' | 'trunc') '(' expr '/' POSINT ')'
+            | ('floor' | 'round') '(' expr '/' POSINT ')'
 
-'trunc' is accepted as an alias of 'floor' (they agree for non-negative
-arguments, which is where certification windows live; the library
-semantics are floor toward -inf for all n).  Divisors inside floor/round
-must be positive integer literals.  floor rounds toward -inf; round is
-nearest-integer with ties going half-up.
+Divisors inside floor/round must be positive integer literals.  floor
+rounds toward -inf; round is nearest-integer with ties going half-up.
 
 Every well-formed expression is integer-valued at every integer n, and is
 a quasi-polynomial in n; expr_to_qp computes that quasi-polynomial
@@ -210,7 +207,7 @@ class _Parser:
         if kind == "name" and value == "n":
             self.advance()
             return Var()
-        if kind == "name" and value in ("floor", "round", "trunc"):
+        if kind == "name" and value in ("floor", "round"):
             self.advance()
             self.eat_sym("(")
             inner = self.expr()
@@ -232,7 +229,7 @@ class _Parser:
             return Floor(inner, divisor)
         if kind == "name":
             raise ExprSyntaxError(
-                f"unknown identifier {value!r} (expected 'n', 'floor', 'round' or 'trunc')",
+                f"unknown identifier {value!r} (expected 'n', 'floor' or 'round')",
                 offset,
             )
         if kind == "sym" and value == "(":

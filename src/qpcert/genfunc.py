@@ -1,8 +1,9 @@
 """Rational generating functions N(q) / prod(1 - q^b_i).
 
-The denominator is described by a multiset of positive part sizes; its
-constant term is 1, so the coefficient stream satisfies an integer-exact
-linear recurrence and never leaves the integers.
+The denominator is described by a multiset of positive part sizes.
+Dividing a power series by one factor (1 - q^b) is the integer pass
+c_n += c_{n-b}, so the coefficient stream is the numerator after one
+such pass per part and never leaves the integers.
 
 The coefficient sequence of such a function agrees, from a computable
 onset index on, with a single quasi-polynomial whose degree is at most
@@ -60,32 +61,21 @@ class RationalGF:
             raise ValueError("shift must be non-negative")
         return RationalGF(Poly.monomial(shift), parts)
 
-    def den_poly(self) -> Poly:
-        """The expanded denominator prod(1 - q^b), integer coefficients."""
-        den = Poly(1)
-        for b in self.parts:
-            den = den * (Poly(1) - Poly.monomial(b))
-        return den
-
     def coeffs(self, upto: int) -> list[int]:
         """Exact power-series coefficients c_0..c_upto.
 
-        Uses the linear recurrence c_n = num_n - sum_{j>=1} d_j c_{n-j}
-        with d the expanded denominator (d_0 = 1), so every value is an
-        integer by construction.
+        Starts from the numerator's coefficients and divides out one
+        factor (1 - q^b) at a time with the in-place pass
+        c_n += c_{n-b}, so every value is an integer by construction.
         """
         if upto < 0:
             raise ValueError("upto must be non-negative")
-        den = [int(c) for c in self.den_poly().coeffs]
-        num = [int(c) for c in self.numerator.coeffs]
-        out = []
-        for n in range(upto + 1):
-            acc = num[n] if n < len(num) else 0
-            for j in range(1, min(n, len(den) - 1) + 1):
-                if den[j]:
-                    acc -= den[j] * out[n - j]
-            out.append(acc)
-        return out
+        c = [int(x) for x in self.numerator.coeffs[: upto + 1]]
+        c += [0] * (upto + 1 - len(c))
+        for b in self.parts:
+            for n in range(b, upto + 1):
+                c[n] += c[n - b]
+        return c
 
     def degree_bound(self) -> int:
         """Upper bound on the degree of the coefficient quasi-polynomial."""
@@ -100,10 +90,8 @@ class RationalGF:
 
         Proper fractions (deg num < deg den) have onset 0; an improper
         fraction contributes a polynomial part that perturbs coefficients
-        up to deg(num) - deg(den).
+        up to deg(num) - deg(den), where deg(den) is the sum of the parts.
         """
-        dn = self.numerator.degree
-        dd = self.den_poly().degree
-        if dn == float("-inf"):
+        if self.numerator.is_zero():
             return 0
-        return max(0, int(dn) - int(dd) + 1)
+        return max(0, self.numerator.degree - sum(self.parts) + 1)

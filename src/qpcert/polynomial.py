@@ -15,10 +15,6 @@ from fractions import Fraction
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
-class DuplicateAbscissa(ValueError):
-    """Two interpolation points share an x value."""
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -137,34 +133,34 @@ class Poly:
         return f"Poly('{''.join(parts)}')"
 
 
-def interpolate(points) -> Poly:
-    """Lagrange interpolation through (x, y) pairs, exact over the rationals.
+def interpolate(values, start: int, step: int) -> Poly:
+    """Polynomial of degree < len(values) through (start + i*step, values[i]).
 
-    Returns the unique polynomial of degree < len(points) passing through
-    every point.  Raises DuplicateAbscissa if two x values coincide.
+    Newton's forward-difference form on the progression: with
+    t = (x - start)/step, the result is sum_k D_k * binomial(t, k), where
+    D_k is the k-th forward difference of values at i = 0.  The
+    differences stay integers for integer values; the only division is by
+    (k+1)*step inside the nested evaluation.
 
-    >>> interpolate([(0, 0), (1, 1), (2, 4)])
+    >>> interpolate([0, 1, 4], 0, 1)
     Poly('x^2')
+    >>> interpolate([3, 12, 27], 12, 12)
+    Poly('1/48x^2')
     """
-    pts = [(_as_fraction(x), _as_fraction(y)) for x, y in points]
-    if not pts:
-        raise ValueError("interpolation needs at least one point")
-    seen = set()
-    for x, _ in pts:
-        if x in seen:
-            raise DuplicateAbscissa(f"duplicate abscissa {x}")
-        seen.add(x)
-    total = Poly()
-    for i, (xi, yi) in enumerate(pts):
-        if yi == 0:
-            continue
-        basis = Poly(1)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j != i:
-                basis = basis * Poly(-xj, 1)
-                denom *= xi - xj
-        total = total + basis * (yi / denom)
+    if not values:
+        raise ValueError("interpolation needs at least one value")
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    leading = []
+    row = list(values)
+    while row:
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    total = Poly(leading[-1])
+    for k in range(len(leading) - 2, -1, -1):
+        # (x - x_k) / ((k+1)*step), with x_k = start + k*step
+        scale = Fraction(1, (k + 1) * step)
+        total = total * Poly(-(start + k * step) * scale, scale) + leading[k]
     return total
 
 

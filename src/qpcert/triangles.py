@@ -111,6 +111,16 @@ def andrews_expr() -> Expr:
     return parse("round(n^2/12) - floor(n/4)*floor((n+2)/4)")
 
 
+def paper_terms() -> tuple[list[int], list[int]]:
+    """The two sides of the classic 37-term comparison.
+
+    Returns coefficients 0..36 of the triangle generating function and
+    Andrews's formula at n = 0..36.
+    """
+    expr = andrews_expr()
+    return triangle_gf().coeffs(36), [expr_eval(expr, n) for n in range(37)]
+
+
 def paper_check() -> bool:
     """Bit-exact 37-term comparison of the two sides of the identity.
 
@@ -119,6 +129,5 @@ def paper_check() -> bool:
     the tight finite-check window needs; it is kept verbatim as the
     classic form of the verification.
     """
-    expr = andrews_expr()
-    coeffs = triangle_gf().coeffs(36)
-    return all(coeffs[n] == expr_eval(expr, n) for n in range(37))
+    coeffs, formula = paper_terms()
+    return coeffs == formula

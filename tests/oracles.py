@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: the triangle
 counter is the fully naive triple loop, and the series expander builds
 coefficients by multiplying truncated geometric series instead of
-running the library's linear recurrence.
+dividing out one part at a time with the library's running sums.
 """
 
 

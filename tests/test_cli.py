@@ -87,6 +87,16 @@ def test_certify_parse_error_exit_two(capsys):
     assert "offset 10" in err
 
 
+def test_certify_trunc_exit_two(capsys):
+    code, out, err = run(
+        capsys,
+        ["certify", "--parts", "2", "--shift", "0", "--expr", "trunc((n-5)/2)"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown identifier 'trunc'" in err
+
+
 def test_certify_probe_reported(capsys):
     code, out, _ = run(
         capsys,

@@ -55,9 +55,13 @@ def test_parse_andrews_ast():
     assert parse(ANDREWS) == expected
 
 
-def test_trunc_is_floor_alias():
-    assert parse("trunc(n/4)") == parse("floor(n/4)")
-    assert parse("round(n^2/12)-trunc(n/4)*trunc((n+2)/4)") == parse(ANDREWS)
+def test_trunc_is_rejected():
+    # truncation toward zero is not a quasi-polynomial on all of Z, and
+    # reading it as floor gave trunc((n-5)/2) = -3 at n = 0 instead of -2
+    with pytest.raises(ExprSyntaxError) as err:
+        parse("trunc(n/4)")
+    assert err.value.offset == 0
+    assert "unknown identifier 'trunc' (expected 'n', 'floor' or 'round')" in str(err.value)
 
 
 def test_whitespace_insignificant():

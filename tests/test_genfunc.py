@@ -30,13 +30,27 @@ def test_parity_series():
     assert gf.coeffs(8) == [0, 1, 0, 1, 0, 1, 0, 1, 0]
 
 
-def test_den_poly_triangle():
-    assert triangle_gf().den_poly() == Poly(1, 0, -1, -1, -1, 1, 1, 1, 0, -1)
+def test_onset_counts_denominator_degree_as_sum_of_parts():
+    # deg prod(1 - q^b) = 2 + 3 + 4 = 9: q^8 over it is proper; q^9 is
+    # not, its polynomial part is a constant, which perturbs index 0 only
+    assert RationalGF(Poly.monomial(8), (2, 3, 4)).onset() == 0
+    assert RationalGF(Poly.monomial(9), (2, 3, 4)).onset() == 1
+    assert RationalGF(Poly(1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1), (2, 3, 4)).onset() == 2
+    # a repeated part counts once per copy: deg (1 - q)^2 = 2
+    assert RationalGF(Poly(0, 0, 0, 0, 5), (1, 1)).onset() == 3
 
 
-def test_den_poly_small():
-    assert RationalGF.from_parts((1,)).den_poly() == Poly(1, -1)
-    assert RationalGF.from_parts((1, 1)).den_poly() == Poly(1, -2, 1)
+def test_onset_marks_where_improper_coefficients_settle():
+    # (1 + q^5)/((1 - q)(1 - q^2)) = polynomial part of degree 2 plus a
+    # proper fraction; beyond index 2 the coefficients follow the
+    # quasi-polynomial fitted from the tail, before it they need not
+    gf = RationalGF(Poly(1, 0, 0, 0, 0, 1), (1, 2))
+    assert gf.onset() == 3
+    coeffs = gf.coeffs(60)
+    tail = [interpolate([coeffs[m], coeffs[m + 2]], m, 2) for m in (56, 57)]
+    model = QuasiPoly(2, tuple(tail))
+    assert all(model(n) == coeffs[n] for n in range(gf.onset(), 61))
+    assert any(model(n) != coeffs[n] for n in range(gf.onset()))
 
 
 def test_triangle_coefficients_match_enumeration():
@@ -83,13 +97,21 @@ def test_zero_numerator_onset():
 
 
 def test_coeffs_match_truncated_series_oracle_randomized():
+    # upto is drawn below the numerator's degree and below the larger
+    # parts too, so the numerator slice and the passes with b > upto are
+    # exercised alongside the long run to 300
     rng = random.Random(20120204)
-    for _ in range(10):
+    below_numerator = beyond_upto = 0
+    for i in range(40):
         k = rng.randint(1, 4)
-        parts = tuple(rng.randint(1, 6) for _ in range(k))
-        num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        parts = tuple(rng.randint(1, 12) for _ in range(k))
+        num = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
+        upto = 300 if i % 4 == 0 else rng.randint(0, 14)
         gf = RationalGF(Poly(*num), parts)
-        assert gf.coeffs(300) == naive_series_coeffs(parts, num, 300)
+        assert gf.coeffs(upto) == naive_series_coeffs(parts, num, upto)
+        below_numerator += upto < gf.numerator.degree
+        beyond_upto += max(parts) > upto
+    assert below_numerator and beyond_upto
 
 
 def test_shift_law():
@@ -104,10 +126,7 @@ def test_quasipoly_bounds_extrapolate():
     # 36 coefficients; the result must predict far-away coefficients
     gf = triangle_gf()
     coeffs = gf.coeffs(1000)
-    constituents = []
-    for r in range(12):
-        pts = [(n, coeffs[n]) for n in range(r, 36, 12)]
-        constituents.append(interpolate(pts))
+    constituents = [interpolate(coeffs[r:36:12], r, 12) for r in range(12)]
     model = QuasiPoly(12, tuple(constituents))
     assert model(100) == coeffs[100]
     assert model(1000) == coeffs[1000]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qpcert.polynomial import NEG_INF, DuplicateAbscissa, Poly, interpolate, lcm_of_denominators
+from qpcert.polynomial import NEG_INF, Poly, interpolate, lcm_of_denominators
 
 from oracles import ALCUIN_PREFIX, naive_triangle_count
 
@@ -56,24 +56,31 @@ def test_degree_and_normalization():
 
 
 def test_interpolate_square():
-    assert interpolate([(0, 0), (1, 1), (2, 4)]) == Poly(0, 0, 1)
+    assert interpolate([0, 1, 4], 0, 1) == Poly(0, 0, 1)
+    assert interpolate([4, 1, 0, 1, 4], -2, 1) == Poly(0, 0, 1)
+    assert interpolate([1, 9, 25], 1, 2) == Poly(0, 0, 1)
 
 
 def test_interpolate_single_point():
-    assert interpolate([(0, 5)]) == Poly(5)
+    assert interpolate([5], 0, 1) == Poly(5)
+    assert interpolate([5], -7, 3) == Poly(5)
 
 
-def test_interpolate_duplicate_abscissa():
-    with pytest.raises(DuplicateAbscissa):
-        interpolate([(1, 1), (1, 2)])
+def test_interpolate_rejects_empty_values_and_bad_step():
+    with pytest.raises(ValueError):
+        interpolate([], 0, 1)
+    with pytest.raises(ValueError):
+        interpolate([1, 2], 0, 0)
+    with pytest.raises(ValueError):
+        interpolate([1, 2], 0, -1)
 
 
 def test_interpolate_alcuin_residue_zero():
     # residue class 0 mod 12 of the triangle-count sequence is quadratic;
     # fit it from four enumerated samples and check the next one
-    pts = [(n, naive_triangle_count(n)) for n in (0, 12, 24, 36)]
-    assert [y for _, y in pts] == [0, 3, 12, 27]
-    p = interpolate(pts)
+    values = [naive_triangle_count(n) for n in (0, 12, 24, 36)]
+    assert values == [0, 3, 12, 27]
+    p = interpolate(values, 0, 12)
     assert p.degree == 2
     assert p(48) == naive_triangle_count(48) == 48
 
@@ -85,11 +92,12 @@ def test_eval_is_ring_homomorphism(p, q, xs):
         assert (p * q)(x) == p(x) * q(x)
 
 
-@given(polys)
-def test_interpolate_left_inverse_of_sampling(p):
-    k = int(p.degree) + 1 if not p.is_zero() else 1
-    pts = [(x, p(x)) for x in range(k)]
-    assert interpolate(pts) == p
+@given(polys, st.integers(-50, 50), st.integers(1, 12), st.integers(0, 3))
+def test_interpolate_left_inverse_of_sampling(p, start, step, extra):
+    # any number of samples beyond deg p + 1 still gives back p itself
+    k = (int(p.degree) + 1 if not p.is_zero() else 1) + extra
+    values = [p(start + i * step) for i in range(k)]
+    assert interpolate(values, start, step) == p
 
 
 @given(polys)
