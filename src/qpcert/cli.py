@@ -178,6 +178,10 @@ def _certify_lines(cert, probe):
 
 def _cmd_certify(args) -> int:
     gf = _gf_from_args(args)
+    onset = gf.onset() if args.onset is None else args.onset
+    if args.probe and onset > PROBE_N_MAX:
+        raise ValueError(f"--probe draws indices from the onset up to {PROBE_N_MAX}, "
+                         f"but the onset is {onset}; lower --onset or drop --probe")
     expr = parse(args.expr)
     cert = certify(gf, expr, onset_override=args.onset)
     probe = None

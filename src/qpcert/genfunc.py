@@ -33,9 +33,8 @@ class RationalGF:
             raise EmptyParts("parts must be a non-empty multiset of positive integers")
         if any(b < 1 for b in parts):
             raise ValueError(f"part sizes must be positive, got {parts}")
-        for c in numerator.coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"numerator must have integer coefficients, got {c}")
+        if numerator.den != 1:
+            raise ValueError(f"numerator must have integer coefficients, got {numerator!r}")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "parts", parts)
 
@@ -70,7 +69,7 @@ class RationalGF:
         """
         if upto < 0:
             raise ValueError("upto must be non-negative")
-        c = [int(x) for x in self.numerator.coeffs[: upto + 1]]
+        c = list(self.numerator.num[: upto + 1])
         c += [0] * (upto + 1 - len(c))
         for b in self.parts:
             for n in range(b, upto + 1):

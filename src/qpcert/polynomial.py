@@ -1,8 +1,12 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are `fractions.Fraction` values, stored low-to-high, with
-trailing zeros stripped so every polynomial has a unique representation.
-The zero polynomial is the empty coefficient tuple and has degree -inf.
+A polynomial is stored as one tuple of integer numerators `num`, constant
+term first, over one positive common denominator `den`.  The pair is kept
+canonical: trailing zeros are stripped, gcd(den, *num) == 1, and the zero
+polynomial is the empty tuple over 1, so equal polynomials have equal
+(num, den) and structural == and hash are equality of values.  Arithmetic
+and evaluation at an integer run on Python ints; the Fraction
+coefficients `coeffs` are a view derived on demand.
 
 Everything here is exact: no floats enter any computation.
 """
@@ -15,16 +19,51 @@ from fractions import Fraction
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+def horner(num, x):
+    """Value of sum(num[i] * x^i) by Horner's rule; an int for int inputs."""
+    acc = 0
+    for c in reversed(num):
+        acc = acc * x + c
+    return acc
+
+
+def _poly(num, den: int) -> "Poly":
+    """Canonical Poly equal to num/den; num holds ints and den >= 1.
+
+    The private constructor behind all arithmetic: it skips the
+    per-coefficient type checks of Poly(*coeffs).
+    """
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    num = tuple(num[:n])
+    if not num:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    p = object.__new__(Poly)
+    object.__setattr__(p, "num", num)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _operand(x):
+    """(num, den) of a Poly, int or Fraction; None for any other type."""
+    if isinstance(x, Poly):
+        return x.num, x.den
+    if isinstance(x, (int, Fraction)):
+        return (x.numerator,), x.denominator
+    return None
 
 
 class Poly:
-    """A polynomial with Fraction coefficients, constant term first.
+    """A polynomial with rational coefficients, constant term first.
+
+    Stored as integer numerators `num` over one common denominator `den`
+    (see the module docstring); `coeffs` gives the Fraction coefficients.
 
     >>> Poly(1, 0, 1)
     Poly('x^2 + 1')
@@ -34,24 +73,33 @@ class Poly:
     Fraction(8, 1)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, *coeffs):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = 1
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected an int or Fraction, got {type(c).__name__}")
+            den = math.lcm(den, c.denominator)
+        p = _poly([c.numerator * (den // c.denominator) for c in coeffs], den)
+        object.__setattr__(self, "num", p.num)
+        object.__setattr__(self, "den", p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, constant term first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self):
         """Degree of the leading term; -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
@@ -62,39 +110,40 @@ class Poly:
 
     def __call__(self, x) -> Fraction:
         """Evaluate at x by Horner's rule, exactly."""
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
+        return Fraction(horner(self.num, x), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly(other)
-        if not isinstance(other, Poly):
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return Poly(*(x + y for x, y in zip(a, b)))
+        (a, da), (b, db) = (self.num, self.den), b
+        if da != db:
+            d = math.lcm(da, db)
+            a, b, da = [c * (d // da) for c in a], [c * (d // db) for c in b], d
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly(out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(*(-c for c in self.coeffs))
+        return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly(other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -102,19 +151,18 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(*(c * other for c in self.coeffs))
-        if not isinstance(other, Poly):
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        (a, da), (b, db) = (self.num, self.den), b
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(*out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly(out, da * db)
 
     __rmul__ = __mul__
 
@@ -159,14 +207,5 @@ def interpolate(values, start: int, step: int) -> Poly:
     total = Poly(leading[-1])
     for k in range(len(leading) - 2, -1, -1):
         # (x - x_k) / ((k+1)*step), with x_k = start + k*step
-        scale = Fraction(1, (k + 1) * step)
-        total = total * Poly(-(start + k * step) * scale, scale) + leading[k]
+        total = total * _poly((-(start + k * step), 1), (k + 1) * step) + leading[k]
     return total
-
-
-def lcm_of_denominators(p: Poly) -> int:
-    """Smallest positive integer c such that c*p has integer coefficients."""
-    c = 1
-    for coeff in p.coeffs:
-        c = math.lcm(c, coeff.denominator)
-    return c

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polynomial import NEG_INF, Poly, lcm_of_denominators
+from .polynomial import NEG_INF, Poly, _poly, horner
 
 
 class NonPositiveModulus(ValueError):
@@ -144,26 +144,22 @@ class QuasiPoly:
     def floor_div(self, m: int) -> "QuasiPoly":
         """Exact quasi-polynomial equal to floor(Q(n)/m) at every integer n.
 
-        Per constituent, write p(n) = u(n)/c with u integer-coefficient and
-        c the common denominator.  Then floor(p(n)/m) = (u(n) - (u(n) mod
-        cm)) / cm, and u(n) mod cm depends only on n mod cm, so refining
-        the period to lcm(L, c*m) makes the remainder a constant on each
-        refined residue class.
+        Per constituent, p(n) = u(n)/c with u = p.num integer-coefficient
+        and c = p.den.  Then floor(p(n)/m) = (u(n) - (u(n) mod cm)) / cm,
+        and u(n) mod cm depends only on n mod cm, so refining the period
+        to lcm(L, c*m) makes the remainder a constant on each refined
+        residue class; it is computed by integer Horner at the residue.
         """
         if m < 1:
             raise NonPositiveModulus(f"modulus must be >= 1, got {m}")
-        scaled = []
         refined = self.period
         for p in self.constituents:
-            c = lcm_of_denominators(p)
-            scaled.append((p * c, c))
-            refined = math.lcm(refined, c * m)
+            refined = math.lcm(refined, p.den * m)
         cons = []
         for r in range(refined):
-            u, c = scaled[r % self.period]
-            cm = c * m
-            rem = int(u(r)) % cm
-            cons.append((u - rem) * Fraction(1, cm))
+            p = self.constituents[r % self.period]
+            u, cm = p.num or (0,), p.den * m
+            cons.append(_poly((u[0] - horner(u, r) % cm, *u[1:]), cm))
         return QuasiPoly(refined, tuple(cons)).canonical()
 
     def round_div(self, m: int) -> "QuasiPoly":

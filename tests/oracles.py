@@ -1,10 +1,15 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the library's own code paths: the triangle
-counter is the fully naive triple loop, and the series expander builds
+counter is the fully naive triple loop, the series expander builds
 coefficients by multiplying truncated geometric series instead of
-dividing out one part at a time with the library's running sums.
+dividing out one part at a time with the library's running sums, and
+the frac_* polynomials keep each coefficient as its own Fraction instead
+of integer numerators over one common denominator.
 """
+
+import math
+from fractions import Fraction
 
 
 def naive_triangle_count(n: int) -> int:
@@ -30,6 +35,70 @@ def naive_series_coeffs(parts, num_coeffs, upto: int) -> list[int]:
                 out[i + k] += acc[i]
         acc = out
     return acc
+
+
+# -- Fraction-tuple polynomials: coefficients low to high, trailing zeros
+# stripped, so equal polynomials are equal tuples.
+
+
+def frac_poly(coeffs) -> tuple:
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def frac_add(a, b) -> tuple:
+    n = max(len(a), len(b))
+    return frac_poly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n))
+
+
+def frac_mul(a, b) -> tuple:
+    out = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_poly(out)
+
+
+def frac_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def frac_floor_div(constituents, m: int) -> tuple:
+    """Canonical constituents of floor(Q(n)/m), one residue at a time.
+
+    Q(n) is constituents[n mod L](n).  Each constituent p is scaled by the
+    lcm c of its denominators to u = c*p; on each residue r of the
+    refinement lcm(L, c*m), floor(Q/m) is (u - (u(r) mod cm)) / cm.  The
+    result is reduced to the smallest period over which it repeats.
+    """
+    L = len(constituents)
+    scaled = []
+    refined = L
+    for p in constituents:
+        c = math.lcm(1, *(x.denominator for x in p))
+        scaled.append((frac_mul(p, (Fraction(c),)), c))
+        refined = math.lcm(refined, c * m)
+    out = []
+    for r in range(refined):
+        u, c = scaled[r % L]
+        cm = c * m
+        rem = int(frac_eval(u, r)) % cm
+        out.append(frac_mul(frac_add(u, (Fraction(-rem),)), (Fraction(1, cm),)))
+    for d in range(1, refined + 1):
+        if refined % d == 0 and all(out[r] == out[r % d] for r in range(refined)):
+            return tuple(out[:d])
+
+
+def frac_round_div(constituents, m: int) -> tuple:
+    """Canonical constituents of floor((2Q(n) + m) / 2m), Q(n)/m rounded half-up."""
+    return frac_floor_div([frac_add(frac_mul(p, (Fraction(2),)), (Fraction(m),))
+                           for p in constituents], 2 * m)
 
 
 # Triangle counts for perimeters 0..12, frozen from naive_triangle_count.

@@ -109,6 +109,21 @@ def test_certify_probe_reported(capsys):
     assert doc["result"]["probe"]["seed"] == "0"
 
 
+def test_certify_probe_rejects_onset_beyond_probe_limit(capsys, monkeypatch):
+    def no_certify(*args, **kwargs):
+        raise AssertionError("certify ran before the flags were checked")
+
+    monkeypatch.setattr("qpcert.cli.certify", no_certify)
+    code, out, err = run(
+        capsys,
+        ["certify", "--parts", "1", "--shift", "0", "--expr", "1",
+         "--onset", "200000", "--probe", "5"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "--onset" in err and "--probe" in err and "100000" in err
+
+
 def test_triangles_count(capsys):
     code, out, _ = run(capsys, ["triangles", "count", "--perimeter", "12"])
     assert code == 0

@@ -176,6 +176,20 @@ def test_conversion_soundness_battery(text):
         assert q(n) == expr_eval(e, n), (text, n)
 
 
+def test_to_qp_wide_refinement():
+    # floor_div walks 10000 refined residues here; n^2 mod 10000 repeats
+    # every 5000, so the canonical period is 5000.  The sample spans three
+    # periods on each side of 0 with a step coprime to the period.
+    e = parse("floor(n^2/10000)")
+    q = expr_to_qp(e)
+    assert q.period == 5000
+    assert q.degree == 2
+    sample = range(-15000, 15001, 7)
+    assert len(sample) >= 2000
+    for n in sample:
+        assert q(n) == expr_eval(e, n), n
+
+
 @pytest.mark.parametrize("text", BATTERY)
 def test_round_trip_battery(text):
     e = parse(text)

@@ -1,14 +1,23 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qpcert.polynomial import NEG_INF, Poly, interpolate, lcm_of_denominators
+from qpcert.polynomial import NEG_INF, Poly, interpolate
 
-from oracles import ALCUIN_PREFIX, naive_triangle_count
+from oracles import ALCUIN_PREFIX, frac_add, frac_eval, frac_mul, frac_poly, naive_triangle_count
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=6)
-polys = st.lists(small_fractions, min_size=0, max_size=7).map(lambda cs: Poly(*cs))
+coeff_lists = st.lists(small_fractions, min_size=0, max_size=7)
+polys = coeff_lists.map(lambda cs: Poly(*cs))
+
+
+def assert_canonical(p):
+    assert p.den >= 1
+    assert math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert p.num or p.den == 1
 
 
 def test_add_cancellation():
@@ -112,10 +121,45 @@ def test_neg_and_sub_consistent(p):
     assert p + (-p) == Poly()
 
 
-def test_lcm_of_denominators():
-    assert lcm_of_denominators(Poly(Fraction(1, 4), Fraction(1, 6))) == 12
-    assert lcm_of_denominators(Poly(1, 2)) == 1
-    assert lcm_of_denominators(Poly()) == 1
+def test_den_is_lcm_of_denominators():
+    assert Poly(Fraction(1, 4), Fraction(1, 6)).den == 12
+    assert Poly(Fraction(1, 4), Fraction(1, 6)).num == (3, 2)
+    assert Poly(1, 2).den == Poly().den == 1
+
+
+def test_equal_polynomials_built_by_different_routes_hash_equal():
+    pairs = [
+        (Poly(Fraction(2, 4)), Poly(1) * Fraction(1, 2)),
+        (Poly(Fraction(1, 3), 1) * 3 - Poly(0, 2), Poly(1, 1)),
+        (Poly(Fraction(1, 6), Fraction(1, 6)) - Poly(Fraction(1, 6), Fraction(1, 6)), Poly()),
+        (interpolate([3, 12, 27], 12, 12), Poly(0, 0, Fraction(1, 48))),
+    ]
+    for a, b in pairs:
+        assert_canonical(a)
+        assert a == b and hash(a) == hash(b)
+    assert Poly(Fraction(2, 4)).num == (1,) and Poly(Fraction(2, 4)).den == 2
+
+
+@given(coeff_lists, coeff_lists, small_fractions, st.integers(-30, 30))
+def test_integer_form_matches_fraction_oracle(cs, ds, x, n):
+    p, q = Poly(*cs), Poly(*ds)
+    a, b = frac_poly(cs), frac_poly(ds)
+    results = [
+        (p, a),
+        (p + q, frac_add(a, b)),
+        (p - q, frac_add(a, frac_mul(b, (Fraction(-1),)))),
+        (p * q, frac_mul(a, b)),
+        (-p, frac_mul(a, (Fraction(-1),))),
+        (p * x, frac_mul(a, (x,))),
+        (x - p, frac_add((x,), frac_mul(a, (Fraction(-1),)))),
+    ]
+    for got, want in results:
+        assert got.coeffs == want
+        assert_canonical(got)
+        assert got == Poly(*want) and hash(got) == hash(Poly(*want))
+    assert p(n) == frac_eval(a, n)
+    assert p(x) == frac_eval(a, x)
+    assert isinstance(p(n), Fraction)
 
 
 def test_alcuin_prefix_frozen_against_oracle():

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from qpcert.polynomial import NEG_INF, Poly
 from qpcert.quasipoly import NonPositiveModulus, QuasiPoly
 
+from oracles import frac_floor_div, frac_poly, frac_round_div
+
 N_POLY = Poly(0, 1)
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -88,6 +90,19 @@ def test_floor_div_matches_direct_floor(q, m):
     fd = q.floor_div(m)
     for n in range(-50, 201, 7):
         assert fd(n) == floor_div_oracle(q, m, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda L: st.lists(st.lists(small_fractions, max_size=3), min_size=L, max_size=L)),
+    st.integers(min_value=1, max_value=12))
+def test_floor_and_round_div_match_fraction_oracle(coeff_lists, m):
+    q = QuasiPoly(len(coeff_lists), tuple(Poly(*cs) for cs in coeff_lists))
+    cons = [frac_poly(cs) for cs in coeff_lists]
+    for got, want in ((q.floor_div(m), frac_floor_div(cons, m)),
+                      (q.round_div(m), frac_round_div(cons, m))):
+        assert got.period == len(want)
+        assert tuple(p.coeffs for p in got.constituents) == want
 
 
 def test_round_div_examples():
