@@ -373,6 +373,9 @@ def main(argv=None) -> int:
     except (ExprSyntaxError, InsufficientSamples, EmptyParts, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: expression is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,9 +11,18 @@ Grammar (whitespace insignificant, +/-/* left associative):
 Divisors inside floor/round must be positive integer literals.  floor
 rounds toward -inf; round is nearest-integer with ties going half-up.
 
-Every well-formed expression is integer-valued at every integer n, and is
-a quasi-polynomial in n; expr_to_qp computes that quasi-polynomial
-exactly.
+One interpreter gives the grammar its meaning, written with the integer
+operators + - * ** and //.  expr_eval runs it with n bound to an int;
+expr_to_qp runs it with n bound to the identity quasi-polynomial, which
+supports the same operators, and so computes exactly the quasi-polynomial
+that every well-formed expression is.
+
+>>> e = parse("round(n^2/12)")
+>>> [expr_eval(e, n) for n in range(8)]
+[0, 0, 0, 1, 1, 2, 3, 4]
+>>> q = expr_to_qp(e)
+>>> q.period, q.degree, [q(n) for n in range(8)] == [expr_eval(e, n) for n in range(8)]
+(6, 2, True)
 """
 
 from __future__ import annotations
@@ -89,23 +98,23 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True)
-class Floor(Expr):
+class _Division(Expr):
+    """operand / divisor rounded to an integer; the subclass names how."""
+
     operand: Expr
     divisor: int
 
     def __post_init__(self):
         if self.divisor < 1:
-            raise ValueError("Floor divisor must be >= 1")
+            raise ValueError(f"{type(self).__name__} divisor must be >= 1")
 
 
-@dataclass(frozen=True)
-class Round(Expr):
-    operand: Expr
-    divisor: int
+class Floor(_Division):
+    """floor(operand / divisor), toward -inf."""
 
-    def __post_init__(self):
-        if self.divisor < 1:
-            raise ValueError("Round divisor must be >= 1")
+
+class Round(_Division):
+    """round(operand / divisor), ties half-up."""
 
 
 # -- tokenizer ---------------------------------------------------------
@@ -114,7 +123,7 @@ _SYMBOLS = "+-*^()/"
 
 
 def _tokenize(text: str):
-    """Yield (kind, value, offset) triples; kinds: int, name, sym, end."""
+    """List of (kind, value, offset) triples; kinds: int, name, sym, end."""
     toks = []
     i = 0
     while i < len(text):
@@ -261,10 +270,10 @@ def parse(text: str) -> Expr:
 # -- evaluation --------------------------------------------------------
 
 
-def expr_eval(e: Expr, n: int) -> int:
-    """Evaluate at integer n; always yields an integer.
+def _interpret(e: Expr, n):
+    """Value of e with n bound to an int or to a QuasiPoly.
 
-    Floor divides toward -inf (Python's //); round is nearest with ties
+    Floor is //, which divides toward -inf; round is nearest with ties
     half-up, computed as (2v + m) // (2m) so no floats are involved.
     """
     if isinstance(e, Const):
@@ -272,21 +281,39 @@ def expr_eval(e: Expr, n: int) -> int:
     if isinstance(e, Var):
         return n
     if isinstance(e, Neg):
-        return -expr_eval(e.operand, n)
+        return -_interpret(e.operand, n)
     if isinstance(e, Add):
-        return expr_eval(e.left, n) + expr_eval(e.right, n)
+        return _interpret(e.left, n) + _interpret(e.right, n)
     if isinstance(e, Sub):
-        return expr_eval(e.left, n) - expr_eval(e.right, n)
+        return _interpret(e.left, n) - _interpret(e.right, n)
     if isinstance(e, Mul):
-        return expr_eval(e.left, n) * expr_eval(e.right, n)
+        return _interpret(e.left, n) * _interpret(e.right, n)
     if isinstance(e, Pow):
-        return expr_eval(e.base, n) ** e.exponent
+        return _interpret(e.base, n) ** e.exponent
     if isinstance(e, Floor):
-        return expr_eval(e.operand, n) // e.divisor
+        return _interpret(e.operand, n) // e.divisor
     if isinstance(e, Round):
-        v = expr_eval(e.operand, n)
-        return (2 * v + e.divisor) // (2 * e.divisor)
+        return (2 * _interpret(e.operand, n) + e.divisor) // (2 * e.divisor)
     raise TypeError(f"not an Expr node: {e!r}")
+
+
+def expr_eval(e: Expr, n: int) -> int:
+    """Evaluate at integer n; always yields an integer."""
+    return _interpret(e, n)
+
+
+_N = QuasiPoly.from_poly(Poly(0, 1))  # n itself, as a quasi-polynomial
+
+
+def expr_to_qp(e: Expr) -> QuasiPoly:
+    """Exact quasi-polynomial equal to the expression at every integer.
+
+    The interpreter run with n bound to the identity quasi-polynomial; a
+    constant expression evaluates to an int, lifted to a constant.  The
+    result is canonical.
+    """
+    v = _interpret(e, _N)
+    return v if isinstance(v, QuasiPoly) else QuasiPoly.constant(v)
 
 
 # -- pretty printer ----------------------------------------------------
@@ -307,11 +334,9 @@ def _fmt(e: Expr, need: int) -> str:
         body = f"{_fmt(e.base, 3)}^{e.exponent}"
     elif isinstance(e, Neg):
         body = f"-{_fmt(e.operand, 3)}"
-    elif isinstance(e, Floor):
+    elif isinstance(e, _Division):
         # operand at factor level: "floor((n + 2)/4)", not "floor(n + 2/4)"
-        body = f"floor({_fmt(e.operand, 2)}/{e.divisor})"
-    elif isinstance(e, Round):
-        body = f"round({_fmt(e.operand, 2)}/{e.divisor})"
+        body = f"{type(e).__name__.lower()}({_fmt(e.operand, 2)}/{e.divisor})"
     elif isinstance(e, Const):
         body = str(e.value)
     elif isinstance(e, Var):
@@ -324,38 +349,3 @@ def _fmt(e: Expr, need: int) -> str:
 def format_expr(e: Expr) -> str:
     """Render to the concrete syntax; re-parsing a parsed AST is identity."""
     return _fmt(e, 0)
-
-
-# -- conversion to quasi-polynomials -----------------------------------
-
-
-def expr_to_qp(e: Expr) -> QuasiPoly:
-    """Exact quasi-polynomial equal to the expression at every integer.
-
-    Structural recursion: constants and n are period-1 polynomials,
-    +,-,* go through quasi-polynomial closure, and floor/round map to the
-    exact floor/round division operations.  The result is canonical.
-    """
-    if isinstance(e, Const):
-        return QuasiPoly.constant(e.value)
-    if isinstance(e, Var):
-        return QuasiPoly.from_poly(Poly(0, 1))
-    if isinstance(e, Neg):
-        return -expr_to_qp(e.operand)
-    if isinstance(e, Add):
-        return expr_to_qp(e.left) + expr_to_qp(e.right)
-    if isinstance(e, Sub):
-        return expr_to_qp(e.left) - expr_to_qp(e.right)
-    if isinstance(e, Mul):
-        return expr_to_qp(e.left) * expr_to_qp(e.right)
-    if isinstance(e, Pow):
-        base = expr_to_qp(e.base)
-        out = base
-        for _ in range(e.exponent - 1):
-            out = out * base
-        return out
-    if isinstance(e, Floor):
-        return expr_to_qp(e.operand).floor_div(e.divisor)
-    if isinstance(e, Round):
-        return expr_to_qp(e.operand).round_div(e.divisor)
-    raise TypeError(f"not an Expr node: {e!r}")

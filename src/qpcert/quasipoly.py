@@ -5,9 +5,12 @@ integer n is constituents[n mod L] evaluated at n itself (the constituents
 are polynomials in n, not in the quotient (n - r)/L).  Residues use
 mathematical mod, so negative n is well defined.
 
-The type is closed under +, -, * and under exact floor/round division by
-a positive integer, which is what lets closed-form expressions built from
-floors and nearest-integer terms be converted into this representation.
+The type speaks the integer operator protocol: it is closed under +, -
+and *, with an int on either side lifted to a constant, and under ** and
+// (exact floor division) by a positive integer.  So an interpreter
+written for ints, run on the identity quasi-polynomial, converts a
+closed form built from floors and nearest-integer terms into this
+representation.
 """
 
 from __future__ import annotations
@@ -19,11 +22,7 @@ from .polynomial import NEG_INF, Poly, _poly, horner
 
 
 class NonPositiveModulus(ValueError):
-    """Floor/round division requires a modulus >= 1."""
-
-
-def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Floor division requires a modulus >= 1."""
 
 
 class QuasiPoly:
@@ -76,16 +75,14 @@ class QuasiPoly:
     def canonical(self) -> "QuasiPoly":
         """The unique minimal-period representative with the same values.
 
-        Period d < L works iff the constituent list repeats with period d;
-        two residue classes can merge only when their constituent
-        polynomials are literally equal, since each class has infinitely
-        many points.
+        Period d < L works iff the constituent list repeats with period d,
+        i.e. it equals itself shifted by d; two residue classes can merge
+        only when their constituent polynomials are literally equal, since
+        each class has infinitely many points.
         """
-        for d in _divisors(self.period):
-            head = self.constituents[:d]
-            if all(self.constituents[r] == head[r % d] for r in range(self.period)):
-                return self if d == self.period else QuasiPoly(d, head)
-        raise AssertionError("unreachable: period divides itself")
+        c, L = self.constituents, self.period
+        d = next(d for d in range(1, L + 1) if L % d == 0 and c[d:] == c[:L - d])
+        return self if d == L else QuasiPoly(d, c[:d])
 
     def equivalent(self, other: "QuasiPoly") -> bool:
         """Pointwise equality on all integers, decided via canonical forms."""
@@ -104,9 +101,7 @@ class QuasiPoly:
     def _coerce(self, other):
         if isinstance(other, QuasiPoly):
             return other
-        if isinstance(other, Poly):
-            return QuasiPoly.from_poly(other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return QuasiPoly.constant(other)
         return None
 
@@ -141,6 +136,23 @@ class QuasiPoly:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k):
+        """Q**k for an integer k >= 1, by k - 1 multiplications."""
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 1:
+            raise ValueError(f"exponent must be >= 1, got {k}")
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+    def __floordiv__(self, m):
+        """Q // m for an integer m >= 1; see floor_div."""
+        if not isinstance(m, int):
+            return NotImplemented
+        return self.floor_div(m)
+
     def floor_div(self, m: int) -> "QuasiPoly":
         """Exact quasi-polynomial equal to floor(Q(n)/m) at every integer n.
 
@@ -161,15 +173,6 @@ class QuasiPoly:
             u, cm = p.num or (0,), p.den * m
             cons.append(_poly((u[0] - horner(u, r) % cm, *u[1:]), cm))
         return QuasiPoly(refined, tuple(cons)).canonical()
-
-    def round_div(self, m: int) -> "QuasiPoly":
-        """Nearest integer to Q(n)/m, ties rounded half-up.
-
-        round(x) = floor(x + 1/2), so round(Q(n)/m) = floor((2Q(n)+m)/2m).
-        """
-        if m < 1:
-            raise NonPositiveModulus(f"modulus must be >= 1, got {m}")
-        return (self * 2 + m).floor_div(2 * m)
 
     def __repr__(self):
         cons = ", ".join(repr(p) for p in self.constituents)

@@ -97,6 +97,16 @@ def test_certify_trunc_exit_two(capsys):
     assert "unknown identifier 'trunc'" in err
 
 
+@pytest.mark.parametrize("expr", ["+".join(["1"] * 1200), "(" * 600 + "n" + ")" * 600],
+                         ids=["long-sum", "deep-parens"])
+def test_certify_too_deep_expression_exit_two(capsys, expr):
+    # exit 1 would read as "refuted"; a deep expression is bad input
+    code, out, err = run(capsys, ["certify", "--parts", "1", "--shift", "0", "--expr", expr])
+    assert code == 2
+    assert out == ""
+    assert err == "error: expression is nested too deeply\n"
+
+
 def test_certify_probe_reported(capsys):
     code, out, _ = run(
         capsys,

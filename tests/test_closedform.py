@@ -21,6 +21,7 @@ from qpcert.closedform import (
     parse,
 )
 from qpcert.polynomial import Poly
+from qpcert.quasipoly import QuasiPoly
 
 ANDREWS = "round(n^2/12) - floor(n/4)*floor((n+2)/4)"
 
@@ -157,6 +158,8 @@ def test_to_qp_polynomial():
     q = expr_to_qp(parse("n^2"))
     assert q.period == 1
     assert q.constituents == (Poly(0, 0, 1),)
+    # a constant expression evaluates to an int, lifted to a constant
+    assert expr_to_qp(parse("floor(-7/2)*3")) == QuasiPoly.constant(-12)
 
 
 def test_to_qp_andrews_degree_and_period():

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -81,7 +82,9 @@ def test_floor_div_rejects_bad_modulus():
     with pytest.raises(NonPositiveModulus):
         q.floor_div(0)
     with pytest.raises(NonPositiveModulus):
-        q.round_div(-2)
+        q // 0
+    with pytest.raises(NonPositiveModulus):
+        q // -2
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,20 +103,21 @@ def test_floor_and_round_div_match_fraction_oracle(coeff_lists, m):
     q = QuasiPoly(len(coeff_lists), tuple(Poly(*cs) for cs in coeff_lists))
     cons = [frac_poly(cs) for cs in coeff_lists]
     for got, want in ((q.floor_div(m), frac_floor_div(cons, m)),
-                      (q.round_div(m), frac_round_div(cons, m))):
+                      ((2 * q + m) // (2 * m), frac_round_div(cons, m))):
         assert got.period == len(want)
         assert tuple(p.coeffs for p in got.constituents) == want
 
 
 def test_round_div_examples():
-    q = QuasiPoly.from_poly(N_POLY * N_POLY).round_div(12)
+    # round(Q/m) is (2Q + m) // 2m
+    q = (2 * QuasiPoly.from_poly(N_POLY * N_POLY) + 12) // 24
     assert q(5) == 2
     assert q(12) == 12
 
 
 def test_round_div_half_up_ties():
     # round(n/2): 1/2 -> 1, -1/2 -> 0, 3/2 -> 2
-    q = QuasiPoly.from_poly(N_POLY).round_div(2)
+    q = (2 * QuasiPoly.from_poly(N_POLY) + 2) // 4
     assert q(1) == 1
     assert q(-1) == 0
     assert q(3) == 2
@@ -152,13 +156,21 @@ def test_equivalent_for_two_floor_constructions():
 
 
 @settings(max_examples=60, deadline=None)
-@given(quasipolys, quasipolys)
-def test_pointwise_evaluation_homomorphism(a, b):
-    s = a + b
-    p = a * b
+@given(quasipolys, quasipolys, st.integers(-5, 5), st.integers(1, 3), st.integers(1, 6))
+def test_pointwise_evaluation_homomorphism(a, b, c, k, m):
+    # the integer operator protocol: ints lift on either side, ** and //
+    # by positive ints
+    got = (a + b, a - b, a * b, -a, a + c, c + a, a - c, c - a, a * c, c * a, a ** k, a // m)
     for n in range(-24, 121, 11):
-        assert s(n) == a(n) + b(n)
-        assert p(n) == a(n) * b(n)
+        x, y = a(n), b(n)
+        want = (x + y, x - y, x * y, -x, x + c, c + x, x - c, c - x, x * c, c * x, x ** k, x // m)
+        assert tuple(q(n) for q in got) == want
+    for other in (Poly(1), Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,6 +180,11 @@ def test_canonicalization_preserves_behavior(q):
     assert q.period % c.period == 0
     for n in range(0, 2 * q.period):
         assert q(n) == c(n)
+    # minimal: no proper divisor of the period is a period of the constituents
+    L = c.period
+    for d in range(1, L):
+        if L % d == 0:
+            assert any(c.constituents[r] != c.constituents[r % d] for r in range(L))
 
 
 @settings(max_examples=60, deadline=None)
