@@ -102,12 +102,20 @@ def rebuild_model(cert: Certificate) -> QuasiPoly:
     degree <= D quasi-polynomial behind the sequence; it is the object
     soundness_probe extrapolates with.
     """
-    start, stop, period = cert.window.start, cert.window.stop, cert.period
-    coeffs = cert.gf.coeffs(stop - 1)
+    start, stop = cert.window.start, cert.window.stop
+    return _fit_residues(cert.gf.coeffs(stop - 1), start, stop, cert.period)
+
+
+def _fit_residues(values, start: int, stop: int, period: int) -> QuasiPoly:
+    """Quasi-polynomial interpolating values[n] for n in [start, stop).
+
+    Constituent r interpolates the indices n = r mod period; every class
+    needs at least one index, i.e. stop - start >= period.
+    """
     constituents = []
     for r in range(period):
-        first = start + (r - start) % period  # first window index = r mod period
-        constituents.append(interpolate(coeffs[first:stop:period], first, period))
+        first = start + (r - start) % period  # first index = r mod period
+        constituents.append(interpolate(values[first:stop:period], first, period))
     return QuasiPoly(period, tuple(constituents))
 
 
@@ -204,26 +212,18 @@ def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
     for period in range(1, l_max + 1):
         for degree in range(0, d_max + 1):
             train = (degree + 1) * period
-            model = QuasiPoly(period, tuple(
-                interpolate(samples[r:train:period], r, period) for r in range(period)
-            ))
-            matches = 0
-            verified = True
-            for n in range(train, len(samples)):
-                if model(n) == samples[n]:
-                    matches += 1
-                else:
-                    verified = False
-            result = FitResult(
-                model=model,
-                degree=degree,
-                period=period,
-                holdout_verified=verified,
-                samples_used=train,
-            )
-            if verified:
-                return result
-            if matches > best_matches:
-                best = result
+            model = _fit_residues(samples, 0, train, period)
+            matches = sum(model(n) == samples[n] for n in range(train, len(samples)))
+            verified = matches == len(samples) - train
+            if verified or matches > best_matches:
+                best = FitResult(
+                    model=model,
+                    degree=degree,
+                    period=period,
+                    holdout_verified=verified,
+                    samples_used=train,
+                )
                 best_matches = matches
+                if verified:
+                    return best
     return best

@@ -8,6 +8,8 @@ Grammar (whitespace insignificant, +/-/* left associative):
     atom   := INT | 'n' | '(' expr ')' | '-' atom
             | ('floor' | 'round') '(' expr '/' POSINT ')'
 
+INT and POSINT are runs of ASCII digits.  Unary minus binds tighter
+than '^', so -n^2 is (-n)^2; write -(n^2) for the negated square.
 Divisors inside floor/round must be positive integer literals.  floor
 rounds toward -inf; round is nearest-integer with ties going half-up.
 
@@ -27,6 +29,7 @@ that every well-formed expression is.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from .polynomial import Poly
@@ -47,8 +50,6 @@ class DivisorNotLiteral(ExprSyntaxError):
 
 class Expr:
     """Base class for expression AST nodes."""
-
-    __slots__ = ()
 
     def __str__(self):
         return format_expr(self)
@@ -120,6 +121,10 @@ class Round(_Division):
 # -- tokenizer ---------------------------------------------------------
 
 _SYMBOLS = "+-*^()/"
+# ASCII only: str.isdigit/isalpha also accept characters such as '²' or
+# Arabic-Indic digits, which int() rejects or silently reads as 0-9.
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
 
 
 def _tokenize(text: str):
@@ -130,15 +135,15 @@ def _tokenize(text: str):
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             toks.append(("int", int(text[i:j]), i))
             i = j
-        elif ch.isalpha():
+        elif ch in _LETTERS:
             j = i
-            while j < len(text) and text[j].isalpha():
+            while j < len(text) and text[j] in _LETTERS:
                 j += 1
             toks.append(("name", text[i:j], i))
             i = j

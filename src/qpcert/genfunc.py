@@ -1,6 +1,8 @@
 """Rational generating functions N(q) / prod(1 - q^b_i).
 
-The denominator is described by a multiset of positive part sizes.
+The denominator is described by a multiset of positive part sizes, kept
+sorted, so RationalGF (a frozen slotted dataclass over the numerator and
+the parts) compares and hashes equal for the same multiset in any order.
 Dividing a power series by one factor (1 - q^b) is the integer pass
 c_n += c_{n-b}, so the coefficient stream is the numerator after one
 such pass per part and never leaves the integers.
@@ -14,6 +16,7 @@ the onset are what make finite-window identity certification sound.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .polynomial import Poly
 
@@ -22,32 +25,22 @@ class EmptyParts(ValueError):
     """A rational generating function needs at least one denominator part."""
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class RationalGF:
     """Numerator polynomial over the integers, denominator prod(1 - q^b)."""
 
-    __slots__ = ("numerator", "parts")
+    numerator: Poly
+    parts: tuple
 
-    def __init__(self, numerator: Poly, parts):
-        parts = tuple(sorted(parts))
+    def __post_init__(self):
+        parts = tuple(sorted(self.parts))
         if not parts:
             raise EmptyParts("parts must be a non-empty multiset of positive integers")
         if any(b < 1 for b in parts):
             raise ValueError(f"part sizes must be positive, got {parts}")
-        if numerator.den != 1:
-            raise ValueError(f"numerator must have integer coefficients, got {numerator!r}")
-        object.__setattr__(self, "numerator", numerator)
+        if self.numerator.den != 1:
+            raise ValueError(f"numerator must have integer coefficients, got {self.numerator!r}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalGF is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalGF):
-            return NotImplemented
-        return self.numerator == other.numerator and self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.numerator, self.parts))
 
     def __repr__(self):
         den = "".join(f"(1-q^{b})" for b in self.parts)

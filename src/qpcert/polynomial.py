@@ -4,16 +4,19 @@ A polynomial is stored as one tuple of integer numerators `num`, constant
 term first, over one positive common denominator `den`.  The pair is kept
 canonical: trailing zeros are stripped, gcd(den, *num) == 1, and the zero
 polynomial is the empty tuple over 1, so equal polynomials have equal
-(num, den) and structural == and hash are equality of values.  Arithmetic
-and evaluation at an integer run on Python ints; the Fraction
-coefficients `coeffs` are a view derived on demand.
+(num, den).  Poly is a frozen slotted dataclass over those two fields,
+so its generated == and hash are equality of values.  Arithmetic and
+evaluation at an integer run on Python ints; the Fraction coefficients
+`coeffs` are a view derived on demand.
 
-Everything here is exact: no floats enter any computation.
+Everything here is exact.  The one float is NEG_INF, the degree of the
+zero polynomial, which is only compared; no float enters any computation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
@@ -59,6 +62,7 @@ def _operand(x):
     return None
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Poly:
     """A polynomial with rational coefficients, constant term first.
 
@@ -73,7 +77,8 @@ class Poly:
     Fraction(8, 1)
     """
 
-    __slots__ = ("num", "den")
+    num: tuple
+    den: int
 
     def __init__(self, *coeffs):
         den = 1
@@ -84,9 +89,6 @@ class Poly:
         p = _poly([c.numerator * (den // c.denominator) for c in coeffs], den)
         object.__setattr__(self, "num", p.num)
         object.__setattr__(self, "den", p.den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @property
     def coeffs(self) -> tuple:
@@ -113,14 +115,6 @@ class Poly:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
         return Fraction(horner(self.num, x), self.den)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __add__(self, other):
         b = _operand(other)

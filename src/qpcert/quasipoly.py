@@ -3,7 +3,10 @@
 A QuasiPoly of period L holds L constituent polynomials; the value at an
 integer n is constituents[n mod L] evaluated at n itself (the constituents
 are polynomials in n, not in the quotient (n - r)/L).  Residues use
-mathematical mod, so negative n is well defined.
+mathematical mod, so negative n is well defined.  QuasiPoly is a frozen
+slotted dataclass: == and hash compare the period and the constituent
+tuple, so two representations of the same function with different
+periods differ until canonical() reduces both to the minimal period.
 
 The type speaks the integer operator protocol: it is closed under +, -
 and *, with an int on either side lifted to a constant, and under ** and
@@ -16,6 +19,7 @@ representation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomial import NEG_INF, Poly, _poly, horner
@@ -25,24 +29,22 @@ class NonPositiveModulus(ValueError):
     """Floor division requires a modulus >= 1."""
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class QuasiPoly:
     """Period L plus L constituent polynomials, indexed by residue mod L."""
 
-    __slots__ = ("period", "constituents")
+    period: int
+    constituents: tuple
 
-    def __init__(self, period: int, constituents):
-        constituents = tuple(constituents)
-        if period < 1:
+    def __post_init__(self):
+        constituents = tuple(self.constituents)
+        if self.period < 1:
             raise ValueError("period must be >= 1")
-        if len(constituents) != period:
-            raise ValueError(f"expected {period} constituents, got {len(constituents)}")
+        if len(constituents) != self.period:
+            raise ValueError(f"expected {self.period} constituents, got {len(constituents)}")
         if not all(isinstance(p, Poly) for p in constituents):
             raise TypeError("constituents must be Poly values")
-        object.__setattr__(self, "period", period)
         object.__setattr__(self, "constituents", constituents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuasiPoly is immutable")
 
     @staticmethod
     def from_poly(p: Poly) -> "QuasiPoly":
@@ -61,16 +63,6 @@ class QuasiPoly:
     def degree(self):
         """Max constituent degree; -inf if all constituents are zero."""
         return max((p.degree for p in self.constituents), default=NEG_INF)
-
-    # -- structural equality (same period and same constituent tuples) --
-
-    def __eq__(self, other):
-        if not isinstance(other, QuasiPoly):
-            return NotImplemented
-        return self.period == other.period and self.constituents == other.constituents
-
-    def __hash__(self):
-        return hash((self.period, self.constituents))
 
     def canonical(self) -> "QuasiPoly":
         """The unique minimal-period representative with the same values.

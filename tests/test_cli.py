@@ -97,6 +97,14 @@ def test_certify_trunc_exit_two(capsys):
     assert "unknown identifier 'trunc'" in err
 
 
+def test_certify_non_ascii_digit_exit_two(capsys):
+    # '1^٣' once parsed as 1^3 and certified
+    code, out, err = run(capsys, ["certify", "--parts", "1", "--shift", "0", "--expr", "1^٣"])
+    assert code == 2
+    assert out == ""
+    assert "offset 2: unexpected character" in err
+
+
 @pytest.mark.parametrize("expr", ["+".join(["1"] * 1200), "(" * 600 + "n" + ")" * 600],
                          ids=["long-sum", "deep-parens"])
 def test_certify_too_deep_expression_exit_two(capsys, expr):

@@ -100,6 +100,12 @@ def test_parse_error_reports_offset():
     assert err.value.offset == 10
     with pytest.raises(ExprSyntaxError):
         parse("n n")
+    # only ASCII digits and letters: no bare ValueError from int('²'),
+    # and an Arabic-Indic three is not read as 3
+    for text, offset in (("n²", 1), ("n^٣", 2)):
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.offset == offset
 
 
 def test_unknown_identifier():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import operator
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpcert.genfunc import EmptyParts, RationalGF
 from qpcert.polynomial import NEG_INF, Poly
 from qpcert.quasipoly import NonPositiveModulus, QuasiPoly
 
@@ -202,3 +204,25 @@ def test_degree_of_product_bounded(a, b):
 def test_floor_div_preserves_degree_of_nonconstant(q, m):
     if q.degree >= 1:
         assert q.floor_div(m).degree == q.degree
+
+
+@pytest.mark.parametrize(
+    "value, rebuilt, field, change, error",
+    [
+        (Poly(Fraction(1, 2), 1), (N_POLY * 2 + 1) * Fraction(1, 2), "num", None, None),
+        (QuasiPoly(2, [N_POLY * Fraction(1, 2), (N_POLY - 1) * Fraction(1, 2)]),
+         QuasiPoly.from_poly(N_POLY) // 2, "period", {"period": 3}, ValueError),
+        (RationalGF(Poly(0, 0, 1), [3, 1, 2]), RationalGF.from_parts((1, 2, 3), shift=2),
+         "parts", {"parts": ()}, EmptyParts),
+    ],
+    ids=["Poly", "QuasiPoly", "RationalGF"],
+)
+def test_value_types_are_frozen_structural_values(value, rebuilt, field, change, error):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    assert value is not rebuilt
+    assert value == rebuilt and hash(value) == hash(rebuilt)
+    # a copy with a changed field goes through the constructor's checks
+    if change is not None:
+        with pytest.raises(error):
+            dataclasses.replace(value, **change)
