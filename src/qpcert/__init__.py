@@ -22,6 +22,7 @@ from .closedform import (
     ExprSyntaxError,
     expr_eval,
     expr_to_qp,
+    expr_values,
     format_expr,
     parse,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "count_bruteforce",
     "expr_eval",
     "expr_to_qp",
+    "expr_values",
     "fit_quasipoly",
     "format_expr",
     "interpolate",

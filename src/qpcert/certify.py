@@ -7,6 +7,12 @@ that agree on D+1 points in every residue class mod P are identical, so
 checking the window [onset, onset + (D+1)*P) proves the identity for all
 n >= onset.  A Certified verdict is therefore a theorem, not a sample.
 
+The window is checked in one pass: the coefficients come from the
+generating function's series expansion and the closed form's values from
+expr_values, the integer interpreter run over the whole window at once.
+The converted quasi-polynomial only sizes the window; it never supplies
+a value that is checked, so the check does not depend on the conversion.
+
 fit_quasipoly is the matching guessing procedure: given raw samples it
 searches for the smallest (period, degree) ansatz whose per-residue
 interpolation reproduces everything it was not trained on.
@@ -18,7 +24,9 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .closedform import Expr, expr_eval, expr_to_qp
+# expr_eval is not called here; it stays importable from this module,
+# where bench/test_bench.py reads it
+from .closedform import Expr, expr_eval, expr_to_qp, expr_values  # noqa: F401
 from .genfunc import RationalGF
 from .polynomial import interpolate
 from .quasipoly import QuasiPoly
@@ -42,9 +50,11 @@ class Certificate:
     """Outcome of a finite-check certification run.
 
     `window` is the checked index range; it always spans exactly
-    degree_bound + 1 points in each residue class mod period.  If
-    `refutation` is None the verdict is Certified and the identity holds
-    for every n >= onset.
+    degree_bound + 1 points in each residue class mod period, and every
+    index in it was compared (coefficient against the expression's
+    integer value).  If `refutation` is None the verdict is Certified and
+    the identity holds for every n >= onset; otherwise it is the smallest
+    mismatching index.
     """
 
     gf: RationalGF
@@ -76,13 +86,12 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     period = math.lcm(gf.period_bound(), qp.period)
     onset = gf.onset() if onset_override is None else onset_override
     window = range(onset, onset + (degree + 1) * period)
-    coeffs = gf.coeffs(window.stop - 1)
+    lhs = gf.coeffs(window.stop - 1)[onset:]
+    rhs = expr_values(expr, window)
     refutation = None
-    for n in window:
-        rhs = expr_eval(expr, n)
-        if coeffs[n] != rhs:
-            refutation = Refutation(n=n, lhs=coeffs[n], rhs=rhs)
-            break
+    if lhs != rhs:
+        i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        refutation = Refutation(n=onset + i, lhs=lhs[i], rhs=rhs[i])
     return Certificate(
         gf=gf,
         expr=expr,

@@ -5,13 +5,15 @@ Every command renders one output document in text, json or csv form; all
 exact numbers are serialized as decimal integer strings or "p/q"
 fraction strings, never as floats, so documents diff cleanly across
 platforms.  Exit codes: 0 success/certified, 1 refuted (or a failed
-37-term check), 2 usage or parse errors.
+37-term check), 2 usage or parse errors, an expression nested too
+deeply, or running out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from itertools import chain
@@ -310,7 +312,14 @@ def _cmd_paper(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qpcert argument parser, built on the first call and then reused.
+
+    parse_args keeps no state between calls (each returns a new
+    Namespace), so one parser serves every main() call in a process.
+    Every caller gets the same object: do not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="qpcert",
         description="Certify identities between rational generating function "
@@ -375,6 +384,10 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: expression is nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the requested window or range is too large",
+              file=sys.stderr)
         return 2
 
 

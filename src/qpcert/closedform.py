@@ -14,13 +14,19 @@ Divisors inside floor/round must be positive integer literals.  floor
 rounds toward -inf; round is nearest-integer with ties going half-up.
 
 One interpreter gives the grammar its meaning, written with the integer
-operators + - * ** and //.  expr_eval runs it with n bound to an int;
-expr_to_qp runs it with n bound to the identity quasi-polynomial, which
-supports the same operators, and so computes exactly the quasi-polynomial
-that every well-formed expression is.
+operators + - * ** and //, and runs with n bound to one of three values
+that support them:
+
+- an int: expr_eval, the value at one index;
+- a column of ints: expr_values, the values over a whole index range in
+  one pass, each operator applied to every entry at once;
+- the identity quasi-polynomial: expr_to_qp, which so computes exactly
+  the quasi-polynomial that every well-formed expression is.
 
 >>> e = parse("round(n^2/12)")
 >>> [expr_eval(e, n) for n in range(8)]
+[0, 0, 0, 1, 1, 2, 3, 4]
+>>> expr_values(e, range(8))
 [0, 0, 0, 1, 1, 2, 3, 4]
 >>> q = expr_to_qp(e)
 >>> q.period, q.degree, [q(n) for n in range(8)] == [expr_eval(e, n) for n in range(8)]
@@ -29,8 +35,10 @@ that every well-formed expression is.
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
+from itertools import repeat
 
 from .polynomial import Poly
 from .quasipoly import QuasiPoly
@@ -276,7 +284,7 @@ def parse(text: str) -> Expr:
 
 
 def _interpret(e: Expr, n):
-    """Value of e with n bound to an int or to a QuasiPoly.
+    """Value of e with n bound to an int, a _Column or a QuasiPoly.
 
     Floor is //, which divides toward -inf; round is nearest with ties
     half-up, computed as (2v + m) // (2m) so no floats are involved.
@@ -305,6 +313,75 @@ def _interpret(e: Expr, n):
 def expr_eval(e: Expr, n: int) -> int:
     """Evaluate at integer n; always yields an integer."""
     return _interpret(e, n)
+
+
+def _entrywise(op, left, right):
+    """op over a column and a column or int, on either side; else NotImplemented."""
+    if isinstance(left, _Column) and isinstance(right, _Column):
+        return _Column(list(map(op, left.values, right.values)))
+    if isinstance(right, int):
+        return _Column(list(map(op, left.values, repeat(right))))
+    if isinstance(left, int):
+        return _Column(list(map(op, repeat(left), right.values)))
+    return NotImplemented
+
+
+class _Column:
+    """A column of ints under the integer operators _interpret uses.
+
+    + - * take a column or an int on either side, unary - negates, and
+    ** k and // m take an int k or m; each applies the int operator to
+    every entry with map.  Any other operand raises TypeError, so a
+    mistake cannot turn into sequence concatenation or repetition.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list):
+        self.values = values
+
+    def __add__(self, other):
+        return _entrywise(operator.add, self, other)
+
+    def __radd__(self, other):
+        return _entrywise(operator.add, other, self)
+
+    def __sub__(self, other):
+        return _entrywise(operator.sub, self, other)
+
+    def __rsub__(self, other):
+        return _entrywise(operator.sub, other, self)
+
+    def __mul__(self, other):
+        return _entrywise(operator.mul, self, other)
+
+    def __rmul__(self, other):
+        return _entrywise(operator.mul, other, self)
+
+    def __neg__(self):
+        return _Column(list(map(operator.neg, self.values)))
+
+    def __pow__(self, k):
+        return _entrywise(pow, self, k) if isinstance(k, int) else NotImplemented
+
+    def __floordiv__(self, m):
+        return _entrywise(operator.floordiv, self, m) if isinstance(m, int) else NotImplemented
+
+
+def expr_values(e: Expr, ns) -> list[int]:
+    """[expr_eval(e, n) for n in ns], in one interpreter pass.
+
+    n is bound to the column of all indices, so the tree is walked once
+    instead of once per index; a constant expression's int is repeated.
+
+    >>> expr_values(parse("floor(n/4)"), range(-3, 5))
+    [-1, -1, -1, 0, 0, 0, 0, 1]
+    >>> expr_values(parse("2^3"), range(3))
+    [8, 8, 8]
+    """
+    column = _Column(list(map(operator.index, ns)))
+    v = _interpret(e, column)
+    return v.values if isinstance(v, _Column) else [v] * len(column.values)
 
 
 _N = QuasiPoly.from_poly(Poly(0, 1))  # n itself, as a quasi-polynomial

@@ -5,11 +5,15 @@ counter is the fully naive triple loop, the series expander builds
 coefficients by multiplying truncated geometric series instead of
 dividing out one part at a time with the library's running sums, and
 the frac_* polynomials keep each coefficient as its own Fraction instead
-of integer numerators over one common denominator.
+of integer numerators over one common denominator.  The window scan
+calls expr_eval once per index, where certify evaluates the whole window
+in one expr_values pass.
 """
 
 import math
 from fractions import Fraction
+
+from qpcert.closedform import expr_eval
 
 
 def naive_triangle_count(n: int) -> int:
@@ -35,6 +39,15 @@ def naive_series_coeffs(parts, num_coeffs, upto: int) -> list[int]:
                 out[i + k] += acc[i]
         acc = out
     return acc
+
+
+def scan_first_mismatch(coeffs, expr, window):
+    """(n, coeffs[n], expr(n)) at the first n in window where they differ, else None."""
+    for n in window:
+        rhs = expr_eval(expr, n)
+        if coeffs[n] != rhs:
+            return (n, coeffs[n], rhs)
+    return None
 
 
 # -- Fraction-tuple polynomials: coefficients low to high, trailing zeros

@@ -15,6 +15,9 @@ from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
 from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
 
+from oracles import frac_mul, naive_series_coeffs, scan_first_mismatch
+from test_acceptance import BATTERY
+
 
 def test_certify_triangle_identity():
     cert = certify(triangle_gf(), andrews_expr())
@@ -168,3 +171,49 @@ def test_rebuild_model_matches_expression():
     cert = certify(triangle_gf(), andrews_expr())
     model = rebuild_model(cert)
     assert model.equivalent(expr_to_qp(cert.expr))
+
+
+def _identity_gf(expr, period, degree):
+    """N(q) / (1 - q^period)^(degree+1) whose coefficients are expr(n), n >= 0.
+
+    (1 - q^P)^(D+1) annihilates a quasi-polynomial of period P and degree
+    D, so N is that product truncated below (D+1)*P.
+    """
+    size = (degree + 1) * period
+    num = [expr_eval(expr, n) for n in range(size)]
+    for _ in range(degree + 1):
+        num = frac_mul(num, (1,) + (0,) * (period - 1) + (-1,))[:size]
+    return RationalGF(Poly(*num), (period,) * (degree + 1))
+
+
+def _bump(gf, k, stop):
+    """gf plus q^k + ... + q^(stop-1): coefficients k..stop-1 rise by 1."""
+    den = (1,)
+    for b in gf.parts:
+        den = frac_mul(den, (1,) + (0,) * (b - 1) + (-1,))
+    return RationalGF(gf.numerator + Poly(*frac_mul((0,) * k + (1,) * (stop - k), den)),
+                      gf.parts)
+
+
+@pytest.mark.parametrize("text", BATTERY)
+def test_first_witness_matches_per_index_scan(text):
+    expr = parse(text)
+    qp = expr_to_qp(expr)
+    gf = _identity_gf(expr, qp.period, max(qp.degree, 0))
+    cert = certify(gf, expr)
+    assert cert.certified
+    window = cert.window
+    coeffs = naive_series_coeffs(gf.parts, gf.numerator.coeffs, window.stop - 1)
+    assert scan_first_mismatch(coeffs, expr, window) is None
+    for k in (window[0], window[len(window) // 2], window[-1]):
+        # every index from k on mismatches, so only the first is k; the
+        # bump raises the numerator's degree and so gf.onset(), and the
+        # override keeps the window of the unmutated identity
+        mutated = _bump(gf, k, window.stop)
+        cert = certify(mutated, expr, onset_override=window.start)
+        assert cert.window == window
+        coeffs = naive_series_coeffs(mutated.parts, mutated.numerator.coeffs, window.stop - 1)
+        expected = scan_first_mismatch(coeffs, expr, window)
+        assert expected[0] == k
+        w = cert.refutation
+        assert (w.n, w.lhs, w.rhs) == expected

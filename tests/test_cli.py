@@ -115,6 +115,19 @@ def test_certify_too_deep_expression_exit_two(capsys, expr):
     assert err == "error: expression is nested too deeply\n"
 
 
+def test_certify_out_of_memory_exit_two(capsys, monkeypatch):
+    # exit 1 would read as "refuted"; a window too large to hold is bad input
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("qpcert.cli.certify", exhausted)
+    code, out, err = run(capsys, ["certify", "--parts", "1000003,1000033", "--shift", "0",
+                                  "--expr", "0"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+
+
 def test_certify_probe_reported(capsys):
     code, out, _ = run(
         capsys,

@@ -7,13 +7,14 @@ coefficient computation or to interpolation that alters a single
 output byte fails here.
 """
 
+import contextlib
 import io
 import json
 from pathlib import Path
 
 import pytest
 
-from qpcert.cli import main
+from qpcert.cli import build_parser, main
 
 CASES = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
@@ -24,3 +25,48 @@ def test_cli_output_is_byte_identical(case, capsys, monkeypatch):
     code = main(case["argv"])
     assert code == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+# argparse rejects these mid-parse with SystemExit(2) and a usage message
+USAGE_ERRORS = [
+    [],
+    ["nosuch"],
+    ["triangles"],
+    ["certify", "--parts", "2,3"],
+    ["certify", "--parts", "2,0", "--shift", "1", "--expr", "n"],
+    ["coeffs", "--parts", "2", "--shift", "1", "--num", "1", "--upto", "3"],
+    ["coeffs", "--parts", "2", "--shift", "1", "--upto", "-1", "--format", "json"],
+    ["fit", "--stdin", "--dmax", "1", "--lmax", "0"],
+]
+
+
+def _run(monkeypatch, argv, stdin):
+    """(exit code, stdout, stderr) of one main() call in this process."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_keeps_no_state(monkeypatch):
+    assert build_parser() is build_parser()
+    # one usage error after every sixth case, so each lands between
+    # well-formed calls
+    runs = []
+    for i, case in enumerate(CASES):
+        runs.append((case["argv"], case["stdin"], (case["exit"], case["stdout"])))
+        if i % 6 == 5 and i // 6 < len(USAGE_ERRORS):
+            runs.append((USAGE_ERRORS[i // 6], None, None))
+    assert sum(expected is None for *_, expected in runs) == len(USAGE_ERRORS)
+    forward = [_run(monkeypatch, argv, stdin) for argv, stdin, _ in runs]
+    backward = [_run(monkeypatch, argv, stdin) for argv, stdin, _ in reversed(runs)]
+    assert backward[::-1] == forward
+    for (argv, _, expected), (code, out, err) in zip(runs, forward):
+        if expected is None:
+            assert code == 2 and out == "" and err.startswith("usage: qpcert"), argv
+        else:
+            assert (code, out) == expected, argv

@@ -15,8 +15,10 @@ from qpcert.closedform import (
     Round,
     Sub,
     Var,
+    _Column,
     expr_eval,
     expr_to_qp,
+    expr_values,
     format_expr,
     parse,
 )
@@ -245,3 +247,51 @@ def test_conversion_soundness_random(e):
     q = expr_to_qp(e)
     for n in range(-12, 37, 5):
         assert q(n) == expr_eval(e, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_exprs(), st.integers(min_value=-60, max_value=60), st.integers(min_value=0, max_value=40))
+def test_expr_values_match_expr_eval(e, start, length):
+    # negative starts exercise floor toward -inf; length 0 is the empty range
+    ns = range(start, start + length)
+    assert expr_values(e, ns) == [expr_eval(e, n) for n in ns]
+
+
+@pytest.mark.parametrize("text", ["7", "floor(-7/2)*3", "(2 - 5)^3", "round(9/4) + 0"])
+def test_expr_values_broadcast_constant(text):
+    e = parse(text)
+    for ns in (range(-5, 6), range(3, 3), [10**30, -1]):
+        assert expr_values(e, ns) == [expr_eval(e, 0)] * len(ns)
+
+
+def test_expr_values_takes_any_int_iterable():
+    e = parse(ANDREWS)
+    ns = [36, -13, 0, 36]
+    assert expr_values(e, iter(ns)) == [expr_eval(e, n) for n in ns]
+    with pytest.raises(TypeError):
+        expr_values(e, [Fraction(1, 2)])
+
+
+def test_column_rejects_unsupported_operands():
+    col = _Column([1, 2, 3])
+    assert (2 * col).values == [2, 4, 6]
+    assert (col * 2).values == [2, 4, 6]
+    assert (10 - col).values == [9, 8, 7]
+    assert (col - col).values == [0, 0, 0]
+    assert (-col).values == [-1, -2, -3]
+    assert (col ** 2).values == [1, 4, 9]
+    assert ((-col) // 2).values == [-1, -1, -2]
+    qp = QuasiPoly.constant(1)
+    for other in (Fraction(1, 2), qp, [4], (4,), "4", 1.5):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(col, other)
+            with pytest.raises(TypeError):
+                op(other, col)
+        with pytest.raises(TypeError):
+            col ** other
+        with pytest.raises(TypeError):
+            col // other
+    for op in (lambda: col ** col, lambda: col // col, lambda: 2 ** col, lambda: 6 // col):
+        with pytest.raises(TypeError):
+            op()
