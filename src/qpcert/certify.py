@@ -24,9 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-# expr_eval is not called here; it stays importable from this module,
-# where bench/test_bench.py reads it
-from .closedform import Expr, expr_eval, expr_to_qp, expr_values  # noqa: F401
+from .closedform import Expr, expr_to_qp, expr_values
 from .genfunc import RationalGF
 from .polynomial import interpolate
 from .quasipoly import QuasiPoly
