@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .closedform import Expr, expr_to_qp, expr_values
 from .genfunc import RationalGF
-from .polynomial import interpolate
+from .polynomial import horner, interpolate
 from .quasipoly import QuasiPoly
 
 
@@ -126,6 +126,16 @@ def _fit_residues(values, start: int, stop: int, period: int) -> QuasiPoly:
     return QuasiPoly(period, tuple(constituents))
 
 
+def _agrees(model: QuasiPoly, n: int, v: int) -> bool:
+    """model(n) == v for an int v, decided in integers.
+
+    The constituent p at n takes the value horner(p.num, n) / p.den, so
+    the comparison is horner(p.num, n) == v * p.den, with no Fraction.
+    """
+    p = model.constituents[n % model.period]
+    return horner(p.num, n) == v * p.den
+
+
 # Fixed linear congruential generator (Knuth's 64-bit parameters), so
 # probe runs are reproducible across platforms and implementations.
 _LCG_MULT = 6364136223846793005
@@ -154,9 +164,11 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     Rebuilds the quasi-polynomial from the certificate window, draws
     `probes` deterministic indices in [cert.onset, n_max], and compares
     its values against the exact coefficients (one series expansion up to
-    the largest probed index).  True means every probe agreed; with a
-    correct implementation this is a consequence of the certified
-    theorem, so False indicates a bug (or a tampered certificate).
+    the largest probed index), in integers: the model's value
+    p.num(n) / p.den matches c_n iff p.num(n) == c_n * p.den (see
+    _agrees).  True means every probe agreed; with a correct
+    implementation this is a consequence of the certified theorem, so
+    False indicates a bug (or a tampered certificate).
     """
     if not cert.certified:
         raise ValueError("soundness_probe requires a Certified certificate")
@@ -167,7 +179,7 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     indices = probe_indices(cert.onset, n_max, probes, seed)
     model = rebuild_model(cert)
     coeffs = cert.gf.coeffs(max(indices))
-    return all(model(i) == coeffs[i] for i in indices)
+    return all(_agrees(model, i, coeffs[i]) for i in indices)
 
 
 @dataclass(frozen=True)
@@ -193,8 +205,9 @@ def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
     samples[n] is the value at n.  Candidates (L, d) are tried by
     increasing period L then increasing degree d; each interpolates per
     residue class on the first (d+1)*L samples and is tested on all the
-    rest.  The first candidate that survives its test wins.  If none
-    does, the candidate with the most test matches is returned with
+    rest, each held-out sample compared in integers (see _agrees).  The
+    first candidate that survives its test wins.  If none does, the
+    candidate with the most test matches is returned with
     holdout_verified=False.
 
     Requires len(samples) >= (d_max+1)*l_max + holdout so that even the
@@ -220,7 +233,7 @@ def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
         for degree in range(0, d_max + 1):
             train = (degree + 1) * period
             model = _fit_residues(samples, 0, train, period)
-            matches = sum(model(n) == samples[n] for n in range(train, len(samples)))
+            matches = sum(_agrees(model, n, samples[n]) for n in range(train, len(samples)))
             verified = matches == len(samples) - train
             if verified or matches > best_matches:
                 best = FitResult(

@@ -21,7 +21,7 @@ from itertools import chain
 from .certify import InsufficientSamples, certify, fit_quasipoly, soundness_probe
 from .closedform import ExprSyntaxError, parse
 from .genfunc import EmptyParts, RationalGF
-from .polynomial import Poly
+from .polynomial import _poly
 from .triangles import count_bruteforce, list_triangles, paper_terms
 
 SCHEMA_VERSION = "1"
@@ -86,7 +86,8 @@ def _add_gf_flags(p: argparse.ArgumentParser):
 
 def _gf_from_args(args) -> RationalGF:
     if args.num is not None:
-        return RationalGF(Poly(*args.num), args.parts)
+        # _int_list_arg already made every coefficient an int
+        return RationalGF(_poly(args.num, 1), args.parts)
     return RationalGF.from_parts(args.parts, shift=args.shift)
 
 
@@ -150,11 +151,11 @@ def _document(command: str, inputs: dict, result: dict) -> dict:
 
 def _cmd_coeffs(args) -> int:
     gf = _gf_from_args(args)
-    coeffs = [str(c) for c in gf.coeffs(args.upto)]
+    coeffs = list(map(str, gf.coeffs(args.upto)))
     inputs = _gf_inputs(args)
     inputs["upto"] = str(args.upto)
     doc = _document("coeffs", inputs, {"coefficients": coeffs})
-    rows = chain([["n", "coefficient"]], ([str(n), c] for n, c in enumerate(coeffs)))
+    rows = chain([["n", "coefficient"]], zip(map(str, range(len(coeffs))), coeffs))
     # map() keeps the single text line lazy like the csv rows
     _render(args.format, doc, rows, map(" ".join, [coeffs]))
     return 0

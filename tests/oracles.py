@@ -7,7 +7,9 @@ dividing out one part at a time with the library's running sums, and
 the frac_* polynomials keep each coefficient as its own Fraction instead
 of integer numerators over one common denominator.  The window scan
 calls expr_eval once per index, where certify evaluates the whole window
-in one expr_values pass.
+in one expr_values pass.  fraction_agrees compares a model's value with
+a sample through QuasiPoly.__call__, a Fraction, where certify compares
+cross-multiplied integers.
 """
 
 import math
@@ -48,6 +50,11 @@ def scan_first_mismatch(coeffs, expr, window):
         if coeffs[n] != rhs:
             return (n, coeffs[n], rhs)
     return None
+
+
+def fraction_agrees(model, n: int, v: int) -> bool:
+    """model(n) == v, with model(n) evaluated as a Fraction."""
+    return model(n) == v
 
 
 # -- Fraction-tuple polynomials: coefficients low to high, trailing zeros

@@ -1,9 +1,14 @@
 import dataclasses
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpcert.certify import (
     InsufficientSamples,
+    _agrees,
+    _fit_residues,
     certify,
     fit_quasipoly,
     probe_indices,
@@ -13,9 +18,10 @@ from qpcert.certify import (
 from qpcert.closedform import expr_eval, expr_to_qp, parse
 from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
+from qpcert.quasipoly import QuasiPoly
 from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
 
-from oracles import frac_mul, naive_series_coeffs, scan_first_mismatch
+from oracles import fraction_agrees, frac_mul, naive_series_coeffs, scan_first_mismatch
 from test_acceptance import BATTERY
 
 
@@ -159,6 +165,36 @@ def test_soundness_probe_detects_tampered_period():
     cert = certify(triangle_gf(), andrews_expr())
     corrupted = dataclasses.replace(cert, period=cert.period // 2)
     assert not soundness_probe(corrupted, 500, 100000, seed=0)
+
+
+def test_soundness_probe_detects_swapped_gf():
+    # the probe rebuilds and expands the certificate's own gf; a gf of
+    # period 30 does not fit the period-12 window it was swapped into
+    cert = certify(triangle_gf(), andrews_expr())
+    swapped = dataclasses.replace(cert, gf=RationalGF.from_parts((2, 3, 5), shift=3))
+    assert not soundness_probe(swapped, 500, 100000, seed=0)
+
+
+# Fitted constituents have den > 1 but are integer-valued on their own
+# residue class; the 1/scale factor makes the values non-integer too.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+           lambda L: st.integers(min_value=0, max_value=3).flatmap(
+               lambda d: st.tuples(st.just(L), st.lists(
+                   st.integers(min_value=-50, max_value=50),
+                   min_size=(d + 1) * L, max_size=(d + 1) * L)))),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=-1, max_value=1))
+def test_integer_agreement_matches_fraction_oracle(fit_data, scale, n, delta):
+    period, samples = fit_data
+    model = _fit_residues(samples, 0, len(samples), period)
+    model = QuasiPoly(period, tuple(p * Fraction(1, scale) for p in model.constituents))
+    # v at or beside the value, so both verdicts occur
+    v = math.floor(model(n)) + delta
+    assert _agrees(model, n, v) == fraction_agrees(model, n, v)
+    for m, s in enumerate(samples):
+        assert _agrees(model, m, s // scale) == fraction_agrees(model, m, s // scale)
 
 
 def test_soundness_probe_requires_certified():

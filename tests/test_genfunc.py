@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qpcert import genfunc
+from qpcert.closedform import expr_values
 from qpcert.genfunc import EmptyParts, RationalGF
 from qpcert.polynomial import Poly, interpolate
 from qpcert.quasipoly import QuasiPoly
+from qpcert.triangles import andrews_expr
 
 from oracles import ALCUIN_PREFIX, naive_series_coeffs
 
@@ -112,6 +116,58 @@ def test_coeffs_match_truncated_series_oracle_randomized():
         below_numerator += upto < gf.numerator.degree
         beyond_upto += max(parts) > upto
     assert below_numerator and beyond_upto
+
+
+# Each part b runs its prefix sums down the b columns when b*b <= upto+1
+# and across the rows of b otherwise; these cases sit on either side of
+# that threshold and of the last full row.
+@pytest.mark.parametrize("parts, num, upto", [
+    ((5,), [1, -2, 3], 24),             # b*b == upto + 1: columns
+    ((5,), [1, -2, 3], 23),             # b*b == upto + 2: rows
+    ((7,), [2, 0, 1], 7),               # b == upto
+    ((7,), [2, 0, 1], 6),               # b == upto + 1
+    ((9,), [2, 0, 1], 4),               # b > upto
+    ((1, 3, 4), [3, -1], 0),            # upto == 0
+    ((2, 3), list(range(1, 31)), 11),   # numerator longer than upto + 1
+    ((3, 3, 3, 8, 8), [1, 5], 70),      # repeated parts
+    ((2, 3, 40, 41), [1, 0, -4, 2], 120),  # both axes in one call
+    ((11,), [1, 1, 1], 130),            # columns of unequal length
+    ((12,), [1, 1, 1], 130),            # rows, the last one short
+])
+def test_coeffs_prefix_sum_boundaries(parts, num, upto):
+    gf = RationalGF(Poly(*num), parts)
+    assert gf.coeffs(upto) == naive_series_coeffs(parts, num, upto)
+
+
+# A series longer than genfunc._TILE_ROWS rows is summed in several tiles,
+# each column starting from the last total of the tile above.
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+@pytest.mark.parametrize("parts, num, upto", [
+    ((1,), [4, -1, 2], 30),
+    ((2, 3, 4), [0, 0, 0, 1], 60),
+    ((3, 3, 5, 9), [1, 5, -2], 90),
+])
+def test_coeffs_tiles_carry_column_totals(monkeypatch, rows, parts, num, upto):
+    monkeypatch.setattr(genfunc, "_TILE_ROWS", rows)
+    gf = RationalGF(Poly(*num), parts)
+    assert gf.coeffs(upto) == naive_series_coeffs(parts, num, upto)
+
+
+def test_coeffs_across_tiles_match_closed_forms():
+    # at the shipped tile height part 1 spans three tiles and part 2 two
+    upto = 2 * genfunc._TILE_ROWS + 3
+    assert RationalGF.from_parts((1, 2)).coeffs(upto) == [n // 2 + 1 for n in range(upto + 1)]
+    assert (RationalGF.from_parts((2, 3, 4), shift=3).coeffs(upto)
+            == expr_values(andrews_expr(), range(upto + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
+       st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=50),
+       st.integers(min_value=0, max_value=400))
+def test_coeffs_match_truncated_series_oracle(parts, num, upto):
+    gf = RationalGF(Poly(*num), parts)
+    assert gf.coeffs(upto) == naive_series_coeffs(parts, num, upto)
 
 
 def test_shift_law():
