@@ -13,9 +13,12 @@ expr_values, the integer interpreter run over the whole window at once.
 The converted quasi-polynomial only sizes the window; it never supplies
 a value that is checked, so the check does not depend on the conversion.
 
-fit_quasipoly is the matching guessing procedure: given raw samples it
-searches for the smallest (period, degree) ansatz whose per-residue
-interpolation reproduces everything it was not trained on.
+fit_quasipoly is the matching guessing procedure.  On each residue class
+mod L a quasi-polynomial's values form a polynomial sequence, and a
+sequence has degree <= d iff its (d+1)-th forward differences vanish.  So
+for each period L it reads each class's degree off the class's
+difference table, takes the first L whose classes all have degree <=
+d_max, and interpolates once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 from .closedform import Expr, expr_to_qp, expr_values
 from .genfunc import RationalGF
-from .polynomial import horner, interpolate
+from .polynomial import _differences, horner, interpolate
 from .quasipoly import QuasiPoly
 
 
@@ -79,7 +82,7 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     if onset_override is not None and onset_override < 0:
         raise ValueError("onset_override must be non-negative")
     qp = expr_to_qp(expr)
-    # gf.degree_bound() is an int >= 0, so the max absorbs a -inf qp degree
+    # a zero expression has degree -1; gf.degree_bound() is >= 0
     degree = max(gf.degree_bound(), qp.degree)
     period = math.lcm(gf.period_bound(), qp.period)
     onset = gf.onset() if onset_override is None else onset_override
@@ -186,10 +189,10 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
 class FitResult:
     """Outcome of a quasi-polynomial ansatz search.
 
-    `model` reproduces every training sample exactly (interpolation is
-    exact); holdout_verified is True iff it also reproduces every sample
-    beyond the training prefix.  samples_used is the length of that
-    training prefix, so len(samples) - samples_used values were held out.
+    `model` is the per-residue interpolation of the first samples_used =
+    (degree+1)*period samples, so it reproduces each of them exactly.
+    holdout_verified is True iff it also reproduces every later sample;
+    len(samples) - samples_used values were held out.
     """
 
     model: QuasiPoly
@@ -199,19 +202,35 @@ class FitResult:
     samples_used: int
 
 
+def _class_degree(values, d_max: int) -> int:
+    """Smallest d <= d_max whose (d+1)-th differences of values vanish.
+
+    A sequence too short to have (d+1)-th differences passes vacuously.
+    Returns d_max + 1 if no d <= d_max passes.
+    """
+    rows = _differences(values)
+    next(rows)  # the values themselves
+    for d in range(d_max + 1):
+        if not any(next(rows, ())):
+            return d
+    return d_max + 1
+
+
 def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
-    """Search for the smallest quasi-polynomial ansatz explaining samples.
+    """The smallest quasi-polynomial ansatz explaining samples.
 
-    samples[n] is the value at n.  Candidates (L, d) are tried by
-    increasing period L then increasing degree d; each interpolates per
-    residue class on the first (d+1)*L samples and is tested on all the
-    rest, each held-out sample compared in integers (see _agrees).  The
-    first candidate that survives its test wins.  If none does, the
-    candidate with the most test matches is returned with
-    holdout_verified=False.
+    samples[n] is the value at n.  Periods L = 1..l_max are tried in
+    order; L's degree is the largest degree of its residue classes
+    samples[r::L], each read off the class's difference table (see
+    _class_degree).  The first L whose degree d is at most d_max wins, and
+    its model interpolates each class on its first d+1 samples: the
+    smallest (L, d) whose interpolation reproduces every sample it was not
+    trained on.  If no period has degree <= d_max, the largest ansatz
+    (l_max, d_max) is fitted and returned with holdout_verified=False.
 
-    Requires len(samples) >= (d_max+1)*l_max + holdout so that even the
-    largest candidate leaves `holdout` genuinely unseen samples.
+    d_max and l_max are caps on the search, not the answer.  Requires
+    len(samples) >= (d_max+1)*l_max + holdout so that even the largest
+    ansatz leaves `holdout` genuinely unseen samples.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
@@ -227,23 +246,18 @@ def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
             f"l_max={l_max}, holdout={holdout}; got {len(samples)}"
         )
 
-    best = None
-    best_matches = -1
     for period in range(1, l_max + 1):
-        for degree in range(0, d_max + 1):
-            train = (degree + 1) * period
-            model = _fit_residues(samples, 0, train, period)
-            matches = sum(_agrees(model, n, samples[n]) for n in range(train, len(samples)))
-            verified = matches == len(samples) - train
-            if verified or matches > best_matches:
-                best = FitResult(
-                    model=model,
-                    degree=degree,
-                    period=period,
-                    holdout_verified=verified,
-                    samples_used=train,
-                )
-                best_matches = matches
-                if verified:
-                    return best
-    return best
+        degree = max(_class_degree(samples[r::period], d_max) for r in range(period))
+        if degree <= d_max:
+            verified = True
+            break
+    else:
+        period, degree, verified = l_max, d_max, False
+    train = (degree + 1) * period
+    return FitResult(
+        model=_fit_residues(samples, 0, train, period),
+        degree=degree,
+        period=period,
+        holdout_verified=verified,
+        samples_used=train,
+    )

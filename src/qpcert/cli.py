@@ -91,25 +91,28 @@ def _gf_from_args(args) -> RationalGF:
     return RationalGF.from_parts(args.parts, shift=args.shift)
 
 
-def _gf_inputs(args) -> dict:
+def _gf_inputs(args, **extra) -> dict:
     return {
         "parts": [str(b) for b in args.parts],
         "shift": None if args.shift is None else str(args.shift),
         "numerator": None if args.num is None else [str(c) for c in args.num],
+        **extra,
     }
 
 
 # -- rendering ----------------------------------------------------------
 
 
-def _render(fmt: str, doc: dict, rows, lines):
-    """Print doc as json, rows as csv, or lines as text.
+def _render(fmt: str, doc, rows, lines):
+    """Print doc() as json, rows as csv, or lines as text.
 
-    rows and lines are iterables consumed only for the chosen format, so
-    a long coefficient dump is never built in the forms not printed.
+    doc is a zero-argument function returning the json document, and rows
+    and lines are iterables; each is consumed only for the chosen format,
+    so neither the document's inputs nor a long coefficient dump is built
+    in the forms not printed.
     """
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc(), indent=2, sort_keys=True) + "\n")
     elif fmt == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
@@ -117,8 +120,8 @@ def _render(fmt: str, doc: dict, rows, lines):
             print(line)
 
 
-def _csv_fields(doc: dict):
-    """(field, value) rows for the nested result of doc, header first."""
+def _csv_fields(result: dict):
+    """(field, value) rows for the nested result dict, header first."""
     yield ["field", "value"]
 
     def walk(prefix, value):
@@ -134,7 +137,7 @@ def _csv_fields(doc: dict):
         else:
             yield [prefix, str(value)]
 
-    yield from walk("", doc["result"])
+    yield from walk("", result)
 
 
 def _document(command: str, inputs: dict, result: dict) -> dict:
@@ -152,12 +155,12 @@ def _document(command: str, inputs: dict, result: dict) -> dict:
 def _cmd_coeffs(args) -> int:
     gf = _gf_from_args(args)
     coeffs = list(map(str, gf.coeffs(args.upto)))
-    inputs = _gf_inputs(args)
-    inputs["upto"] = str(args.upto)
-    doc = _document("coeffs", inputs, {"coefficients": coeffs})
     rows = chain([["n", "coefficient"]], zip(map(str, range(len(coeffs))), coeffs))
     # map() keeps the single text line lazy like the csv rows
-    _render(args.format, doc, rows, map(" ".join, [coeffs]))
+    _render(args.format,
+            lambda: _document("coeffs", _gf_inputs(args, upto=str(args.upto)),
+                              {"coefficients": coeffs}),
+            rows, map(" ".join, [coeffs]))
     return 0
 
 
@@ -196,9 +199,6 @@ def _cmd_certify(args) -> int:
             "seed": str(args.seed),
             "agreed": agreed,
         }
-    inputs = _gf_inputs(args)
-    inputs["expr"] = args.expr
-    inputs["onset"] = None if args.onset is None else str(args.onset)
     result = {
         "verdict": "certified" if cert.certified else "refuted",
         "degree_bound": str(cert.degree_bound),
@@ -216,8 +216,11 @@ def _cmd_certify(args) -> int:
         },
         "probe": probe,
     }
-    doc = _document("certify", inputs, result)
-    _render(args.format, doc, _csv_fields(doc), _certify_lines(cert, probe))
+    _render(args.format,
+            lambda: _document("certify", _gf_inputs(
+                args, expr=args.expr,
+                onset=None if args.onset is None else str(args.onset)), result),
+            _csv_fields(result), _certify_lines(cert, probe))
     return 0 if cert.certified else 1
 
 
@@ -227,18 +230,19 @@ def _cmd_certify(args) -> int:
 def _cmd_triangles_count(args) -> int:
     count = str(count_bruteforce(args.perimeter))
     perimeter = str(args.perimeter)
-    doc = _document("triangles count", {"perimeter": perimeter}, {"count": count})
-    _render(args.format, doc, [["perimeter", "count"], [perimeter, count]], [count])
+    _render(args.format,
+            lambda: _document("triangles count", {"perimeter": perimeter}, {"count": count}),
+            [["perimeter", "count"], [perimeter, count]], [count])
     return 0
 
 
 def _cmd_triangles_list(args) -> int:
     tris = list_triangles(args.perimeter)
     sides = [[str(t.x), str(t.y), str(t.z)] for t in tris]
-    doc = _document("triangles list", {"perimeter": str(args.perimeter)},
-                    {"count": str(len(tris)), "triangles": sides})
-    _render(args.format, doc, chain([["x", "y", "z"]], sides),
-            (f"({','.join(s)})" for s in sides))
+    _render(args.format,
+            lambda: _document("triangles list", {"perimeter": str(args.perimeter)},
+                              {"count": str(len(tris)), "triangles": sides}),
+            chain([["x", "y", "z"]], sides), (f"({','.join(s)})" for s in sides))
     return 0
 
 
@@ -283,8 +287,8 @@ def _cmd_fit(args) -> int:
         "samples_used": str(fit.samples_used),
         "constituents": {str(r): cs for r, cs in enumerate(constituents)},
     }
-    doc = _document("fit", inputs, result)
-    _render(args.format, doc, _csv_fields(doc), _fit_lines(fit, constituents))
+    _render(args.format, lambda: _document("fit", inputs, result),
+            _csv_fields(result), _fit_lines(fit, constituents))
     return 0
 
 
@@ -306,7 +310,7 @@ def _cmd_paper(args) -> int:
     lines = chain([" n  coefficient  formula"],
                   (f"{n:2d}  {c:11d}  {v:7d}" for n, (c, v) in table),
                   ["true" if equal else "false"])
-    _render(args.format, _document("paper", {}, result), rows, lines)
+    _render(args.format, lambda: _document("paper", {}, result), rows, lines)
     return 0 if equal else 1
 
 
@@ -361,10 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="file of whitespace-separated integers")
     group.add_argument("--stdin", action="store_true", help="read samples from stdin")
-    p.add_argument("--dmax", type=_nonneg_arg, required=True, help="max degree to try")
-    p.add_argument("--lmax", type=_pos_arg, required=True, help="max period to try")
+    p.add_argument("--dmax", type=_nonneg_arg, required=True,
+                   help="cap on the fitted degree")
+    p.add_argument("--lmax", type=_pos_arg, required=True,
+                   help="cap on the fitted period")
     p.add_argument("--holdout", type=_pos_arg, default=1,
-                   help="minimum samples kept unseen by every candidate")
+                   help="minimum samples kept unseen by the largest ansatz")
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_fit)
 

@@ -111,7 +111,6 @@ class RationalGF:
         Proper fractions (deg num < deg den) have onset 0; an improper
         fraction contributes a polynomial part that perturbs coefficients
         up to deg(num) - deg(den), where deg(den) is the sum of the parts.
+        The zero numerator has degree -1, so its onset is 0 too.
         """
-        if self.numerator.is_zero():
-            return 0
         return max(0, self.numerator.degree - sum(self.parts) + 1)

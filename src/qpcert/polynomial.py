@@ -9,8 +9,8 @@ so its generated == and hash are equality of values.  Arithmetic and
 evaluation at an integer run on Python ints; the Fraction coefficients
 `coeffs` are a view derived on demand.
 
-Everything here is exact.  The one float is NEG_INF, the degree of the
-zero polynomial, which is only compared; no float enters any computation.
+Everything here is exact; no float appears anywhere.  The zero
+polynomial has degree -1.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
 def horner(num, x):
@@ -96,9 +94,9 @@ class Poly:
         return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
-    def degree(self):
-        """Degree of the leading term; -inf for the zero polynomial."""
-        return len(self.num) - 1 if self.num else NEG_INF
+    def degree(self) -> int:
+        """Degree of the leading term; -1 for the zero polynomial."""
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
         return not self.num
@@ -175,6 +173,22 @@ class Poly:
         return f"Poly('{''.join(parts)}')"
 
 
+def _differences(values):
+    """The rows of values' forward-difference table, values first.
+
+    Row k holds the k-th forward differences, one entry shorter than row
+    k-1; the last row yielded has a single entry.  Integer values give
+    integer rows.
+
+    >>> list(_differences([0, 1, 4, 9]))
+    [[0, 1, 4, 9], [1, 3, 5], [2, 2], [0]]
+    """
+    row = list(values)
+    while row:
+        yield row
+        row = [b - a for a, b in zip(row, row[1:])]
+
+
 def interpolate(values, start: int, step: int) -> Poly:
     """Polynomial of degree < len(values) through (start + i*step, values[i]).
 
@@ -193,11 +207,7 @@ def interpolate(values, start: int, step: int) -> Poly:
         raise ValueError("interpolation needs at least one value")
     if step < 1:
         raise ValueError("step must be >= 1")
-    leading = []
-    row = list(values)
-    while row:
-        leading.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
+    leading = [row[0] for row in _differences(values)]
     total = Poly(leading[-1])
     for k in range(len(leading) - 2, -1, -1):
         # (x - x_k) / ((k+1)*step), with x_k = start + k*step

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomial import NEG_INF, Poly, _poly, horner
+from .polynomial import Poly, _poly, horner
 
 
 class NonPositiveModulus(ValueError):
@@ -60,9 +60,9 @@ class QuasiPoly:
         return self.constituents[n % self.period](n)
 
     @property
-    def degree(self):
-        """Max constituent degree; -inf if all constituents are zero."""
-        return max((p.degree for p in self.constituents), default=NEG_INF)
+    def degree(self) -> int:
+        """Max constituent degree; -1 if all constituents are zero."""
+        return max(p.degree for p in self.constituents)
 
     def canonical(self) -> "QuasiPoly":
         """The unique minimal-period representative with the same values.

@@ -9,12 +9,15 @@ of integer numerators over one common denominator.  The window scan
 calls expr_eval once per index, where certify evaluates the whole window
 in one expr_values pass.  fraction_agrees compares a model's value with
 a sample through QuasiPoly.__call__, a Fraction, where certify compares
-cross-multiplied integers.
+cross-multiplied integers.  grid_fit is the exhaustive (period, degree)
+search that fit_quasipoly's difference tables replace: it builds every
+candidate model and tests each held-out sample with fraction_agrees.
 """
 
 import math
 from fractions import Fraction
 
+from qpcert.certify import FitResult, _fit_residues
 from qpcert.closedform import expr_eval
 
 
@@ -55,6 +58,23 @@ def scan_first_mismatch(coeffs, expr, window):
 def fraction_agrees(model, n: int, v: int) -> bool:
     """model(n) == v, with model(n) evaluated as a Fraction."""
     return model(n) == v
+
+
+def grid_fit(samples, d_max: int, l_max: int):
+    """First candidate (L, d), by L then d, that reproduces every held-out sample.
+
+    Candidate (L, d) interpolates each residue class mod L on the first
+    (d+1)*L samples.  Returns the winner as a verified FitResult, or None
+    if no candidate up to (l_max, d_max) survives.
+    """
+    for period in range(1, l_max + 1):
+        for degree in range(d_max + 1):
+            train = (degree + 1) * period
+            model = _fit_residues(samples, 0, train, period)
+            if all(fraction_agrees(model, n, samples[n]) for n in range(train, len(samples))):
+                return FitResult(model=model, degree=degree, period=period,
+                                 holdout_verified=True, samples_used=train)
+    return None
 
 
 # -- Fraction-tuple polynomials: coefficients low to high, trailing zeros

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qpcert.certify import (
     InsufficientSamples,
@@ -21,8 +21,15 @@ from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
 
-from oracles import fraction_agrees, frac_mul, naive_series_coeffs, scan_first_mismatch
+from oracles import (
+    fraction_agrees,
+    frac_mul,
+    grid_fit,
+    naive_series_coeffs,
+    scan_first_mismatch,
+)
 from test_acceptance import BATTERY
+from test_closedform import _exprs
 
 
 def test_certify_triangle_identity():
@@ -118,13 +125,45 @@ def test_fit_recovers_triangle_formula():
 
 
 def test_fit_training_samples_always_reproduced():
-    # geometric growth is no quasi-polynomial; the best-effort result
-    # must still match everything it interpolated
+    # geometric growth is no quasi-polynomial; the unverified result is
+    # the largest ansatz, and it still matches everything it interpolated
     samples = [2 ** n for n in range(16)]
     fit = fit_quasipoly(samples, d_max=2, l_max=3, holdout=2)
     assert not fit.holdout_verified
+    assert (fit.period, fit.degree, fit.samples_used) == (3, 2, 9)
     for n in range(fit.samples_used):
         assert fit.model(n) == samples[n]
+
+
+@st.composite
+def _fit_draws(draw):
+    """(samples, d_max, l_max, holdout): a GF coefficient stream, perturbed half the time."""
+    d_max = draw(st.integers(0, 3))
+    l_max = draw(st.integers(1, 12))
+    holdout = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    num = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    size = (d_max + 1) * l_max + holdout + draw(st.integers(0, 12))
+    samples = naive_series_coeffs(parts, num, size - 1)
+    if draw(st.booleans()):
+        samples[draw(st.integers(0, size - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return samples, d_max, l_max, holdout
+
+
+@settings(max_examples=250, deadline=None)
+@given(_fit_draws())
+def test_fit_matches_grid_oracle(draw):
+    samples, d_max, l_max, holdout = draw
+    fit = fit_quasipoly(samples, d_max=d_max, l_max=l_max, holdout=holdout)
+    grid = grid_fit(samples, d_max, l_max)
+    assert fit.holdout_verified == (grid is not None)
+    if grid is not None:
+        assert fit == grid
+        assert all(fraction_agrees(fit.model, n, v) for n, v in enumerate(samples))
+    else:
+        assert (fit.period, fit.degree) == (l_max, d_max)
+        assert fit.samples_used == (d_max + 1) * l_max
+        assert all(fraction_agrees(fit.model, n, samples[n]) for n in range(fit.samples_used))
 
 
 def test_fit_insufficient_samples():
@@ -253,3 +292,56 @@ def test_first_witness_matches_per_index_scan(text):
         assert expected[0] == k
         w = cert.refutation
         assert (w.n, w.lhs, w.rhs) == expected
+
+
+@st.composite
+def _certify_draws(draw):
+    """(gf, numerator coefficients, expr, onset override or None).
+
+    The numerator is D times the expression's series, D = prod(1 - q^b),
+    truncated to sum(parts) + 2 terms, so the coefficients follow the
+    expression at least that far; 30% of the time one numerator
+    coefficient is bumped.  The expression's degree is at most 3 and its
+    period divides 60, so every window stays small.
+    """
+    parts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    expr = draw(_exprs())
+    qp = expr_to_qp(expr)
+    assume(qp.degree <= 3 and 60 % qp.period == 0)
+    size = sum(parts) + 2
+    num = [expr_eval(expr, n) for n in range(size)]
+    for b in parts:
+        num = list(frac_mul(num, (1,) + (0,) * (b - 1) + (-1,))[:size])
+    num = [int(c) for c in num] + [0] * (size - len(num))
+    if draw(st.integers(0, 9)) < 3:
+        num[draw(st.integers(0, size - 1))] += draw(st.sampled_from([-1, 1]))
+    gf = RationalGF(Poly(*num), parts)
+    override = draw(st.one_of(st.none(), st.integers(0, 4).map(lambda k: gf.onset() + k)))
+    return gf, num, expr, override
+
+
+@settings(max_examples=150, deadline=None)
+@given(_certify_draws())
+def test_certify_verdict_matches_oracle_far_past_window(draw):
+    # certified means the identity holds from the onset on, so the brute
+    # oracle must find no mismatch on [t, 3*stop); refuted means the
+    # witness is the oracle's first mismatch, which lies in the window
+    gf, num, expr, override = draw
+    cert = certify(gf, expr, onset_override=override)
+    upto = 3 * cert.window.stop
+    coeffs = naive_series_coeffs(gf.parts, num, upto - 1)
+    mismatch = scan_first_mismatch(coeffs, expr, range(cert.onset, upto))
+    assert cert.certified == (mismatch is None)
+    if not cert.certified:
+        w = cert.refutation
+        assert (w.n, w.lhs, w.rhs) == mismatch
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: an onset override below gf.onset() "
+                          "shrinks the window past the numerator's tail")
+def test_onset_override_below_gf_onset_is_not_certified():
+    # (1 + q^3)/(1 - q) is 1, 1, 1, 2, 2, ...: the constant 1 fails at n = 3
+    gf = RationalGF(Poly(1, 0, 0, 1), (1,))
+    cert = certify(gf, parse("1"), onset_override=0)
+    assert not cert.certified

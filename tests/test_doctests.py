@@ -16,5 +16,5 @@ def test_module_doctests_pass(name):
 
 
 def test_polynomial_examples_are_run():
-    # three Poly examples and two interpolate examples
-    assert doctest.testmod(importlib.import_module("qpcert.polynomial")).attempted == 5
+    # three Poly examples, one _differences example and two interpolate examples
+    assert doctest.testmod(importlib.import_module("qpcert.polynomial")).attempted == 6
