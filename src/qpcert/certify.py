@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .closedform import Expr, expr_to_qp, expr_values
 from .genfunc import RationalGF
-from .polynomial import _differences, horner, interpolate
+from .polynomial import _differences, interpolate
 from .quasipoly import QuasiPoly
 
 
@@ -86,7 +86,7 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     degree = max(gf.degree_bound(), qp.degree)
     period = math.lcm(gf.period_bound(), qp.period)
     onset = gf.onset() if onset_override is None else onset_override
-    window = range(onset, onset + (degree + 1) * period)
+    window = _window(onset, degree, period)
     lhs = gf.coeffs(window.stop - 1)[onset:]
     rhs = expr_values(expr, window)
     refutation = None
@@ -104,13 +104,18 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     )
 
 
+def _window(onset: int, degree: int, period: int) -> range:
+    """The finite-check window: degree + 1 indices per residue class mod period."""
+    return range(onset, onset + (degree + 1) * period)
+
+
 def rebuild_model(cert: Certificate) -> QuasiPoly:
     """Quasi-polynomial determined by the certificate's own window data.
 
     Interpolates the checked coefficients per residue class mod
     cert.period.  For an honest certificate this reconstructs the unique
-    degree <= D quasi-polynomial behind the sequence; it is the object
-    soundness_probe extrapolates with.
+    degree <= D quasi-polynomial behind the sequence, the one that
+    expr_to_qp(cert.expr) is equivalent to.
     """
     start, stop = cert.window.start, cert.window.stop
     return _fit_residues(cert.gf.coeffs(stop - 1), start, stop, cert.period)
@@ -127,16 +132,6 @@ def _fit_residues(values, start: int, stop: int, period: int) -> QuasiPoly:
         first = start + (r - start) % period  # first index = r mod period
         constituents.append(interpolate(values[first:stop:period], first, period))
     return QuasiPoly(period, tuple(constituents))
-
-
-def _agrees(model: QuasiPoly, n: int, v: int) -> bool:
-    """model(n) == v for an int v, decided in integers.
-
-    The constituent p at n takes the value horner(p.num, n) / p.den, so
-    the comparison is horner(p.num, n) == v * p.den, with no Fraction.
-    """
-    p = model.constituents[n % model.period]
-    return horner(p.num, n) == v * p.den
 
 
 # Fixed linear congruential generator (Knuth's 64-bit parameters), so
@@ -162,27 +157,28 @@ def probe_indices(onset: int, n_max: int, probes: int, seed: int) -> list[int]:
 
 
 def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -> bool:
-    """Empirical backstop for a Certified verdict.
+    """Empirical backstop for a Certified verdict: the identity, sampled.
 
-    Rebuilds the quasi-polynomial from the certificate window, draws
-    `probes` deterministic indices in [cert.onset, n_max], and compares
-    its values against the exact coefficients (one series expansion up to
-    the largest probed index), in integers: the model's value
-    p.num(n) / p.den matches c_n iff p.num(n) == c_n * p.den (see
-    _agrees).  True means every probe agreed; with a correct
-    implementation this is a consequence of the certified theorem, so
-    False indicates a bug (or a tampered certificate).
+    False if cert.window is not the window that cert.onset,
+    cert.degree_bound and cert.period define.  Otherwise draws `probes`
+    deterministic indices in [cert.onset, n_max] and compares both sides
+    of the certified identity there: the exact coefficients (one series
+    expansion up to the largest probed index) against the expression's
+    values (one expr_values pass).  True means every probe agreed; with a
+    correct implementation this is a consequence of the certified
+    theorem, so False indicates a bug (or a tampered certificate).
     """
     if not cert.certified:
         raise ValueError("soundness_probe requires a Certified certificate")
     if probes < 0:
         raise ValueError("probes must be non-negative")
+    if cert.window != _window(cert.onset, cert.degree_bound, cert.period):
+        return False
     if probes == 0:
         return True
     indices = probe_indices(cert.onset, n_max, probes, seed)
-    model = rebuild_model(cert)
     coeffs = cert.gf.coeffs(max(indices))
-    return all(_agrees(model, i, coeffs[i]) for i in indices)
+    return [coeffs[i] for i in indices] == expr_values(cert.expr, indices)
 
 
 @dataclass(frozen=True)

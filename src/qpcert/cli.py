@@ -6,7 +6,8 @@ exact numbers are serialized as decimal integer strings or "p/q"
 fraction strings, never as floats, so documents diff cleanly across
 platforms.  Exit codes: 0 success/certified, 1 refuted (or a failed
 37-term check), 2 usage or parse errors, an expression nested too
-deeply, or running out of memory.
+deeply, an index or size too large to allocate, or running out of
+memory.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import json
 import sys
 from itertools import chain
 
-from .certify import InsufficientSamples, certify, fit_quasipoly, soundness_probe
-from .closedform import ExprSyntaxError, parse
-from .genfunc import EmptyParts, RationalGF
+from .certify import certify, fit_quasipoly, soundness_probe
+from .closedform import parse
+from .genfunc import RationalGF
 from .polynomial import _poly
 from .triangles import count_bruteforce, list_triangles, paper_terms
 
@@ -386,8 +387,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ExprSyntaxError, InsufficientSamples, EmptyParts, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: an index or size is too large to allocate ({exc})", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: expression is nested too deeply", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closedform import Expr, expr_eval, parse
+from .closedform import Expr, expr_values, parse
 from .genfunc import RationalGF
 
 
@@ -117,8 +117,7 @@ def paper_terms() -> tuple[list[int], list[int]]:
     Returns coefficients 0..36 of the triangle generating function and
     Andrews's formula at n = 0..36.
     """
-    expr = andrews_expr()
-    return triangle_gf().coeffs(36), [expr_eval(expr, n) for n in range(37)]
+    return triangle_gf().coeffs(36), expr_values(andrews_expr(), range(37))
 
 
 def paper_check() -> bool:

@@ -5,20 +5,22 @@ counter is the fully naive triple loop, the series expander builds
 coefficients by multiplying truncated geometric series instead of
 dividing out one part at a time with the library's running sums, and
 the frac_* polynomials keep each coefficient as its own Fraction instead
-of integer numerators over one common denominator.  The window scan
-calls expr_eval once per index, where certify evaluates the whole window
-in one expr_values pass.  fraction_agrees compares a model's value with
-a sample through QuasiPoly.__call__, a Fraction, where certify compares
-cross-multiplied integers.  grid_fit is the exhaustive (period, degree)
-search that fit_quasipoly's difference tables replace: it builds every
-candidate model and tests each held-out sample with fraction_agrees.
+of integer numerators over one common denominator.  oracle_eval walks an
+expression's AST in Fractions and rounds with math.floor, where the
+library's one interpreter applies the integer operators + - * ** and //;
+the window scan evaluates each index with it.  fraction_agrees compares a
+model's value with a sample through QuasiPoly.__call__, a Fraction,
+where fit_quasipoly reads degrees off integer difference tables.
+grid_fit is the exhaustive (period, degree) search that fit_quasipoly's
+difference tables replace: it builds every candidate model and tests
+each held-out sample with fraction_agrees.
 """
 
 import math
 from fractions import Fraction
 
 from qpcert.certify import FitResult, _fit_residues
-from qpcert.closedform import expr_eval
+from qpcert.closedform import Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var
 
 
 def naive_triangle_count(n: int) -> int:
@@ -46,10 +48,43 @@ def naive_series_coeffs(parts, num_coeffs, upto: int) -> list[int]:
     return acc
 
 
+def oracle_eval(expr, n: int) -> int:
+    """Value of expr at n, from a walk of its AST in Fractions.
+
+    floor(v/m) is math.floor(Fraction(v, m)), and round(v/m) is
+    math.floor(Fraction(v, m) + 1/2), nearest with ties half-up.
+    """
+
+    def walk(e) -> Fraction:
+        if isinstance(e, Const):
+            return Fraction(e.value)
+        if isinstance(e, Var):
+            return Fraction(n)
+        if isinstance(e, Neg):
+            return -walk(e.operand)
+        if isinstance(e, Add):
+            return walk(e.left) + walk(e.right)
+        if isinstance(e, Sub):
+            return walk(e.left) - walk(e.right)
+        if isinstance(e, Mul):
+            return walk(e.left) * walk(e.right)
+        if isinstance(e, Pow):
+            return walk(e.base) ** e.exponent
+        if isinstance(e, Floor):
+            return Fraction(math.floor(Fraction(walk(e.operand), e.divisor)))
+        if isinstance(e, Round):
+            return Fraction(math.floor(Fraction(walk(e.operand), e.divisor) + Fraction(1, 2)))
+        raise TypeError(f"not an Expr node: {e!r}")
+
+    v = walk(expr)
+    assert v.denominator == 1
+    return int(v)
+
+
 def scan_first_mismatch(coeffs, expr, window):
     """(n, coeffs[n], expr(n)) at the first n in window where they differ, else None."""
     for n in window:
-        rhs = expr_eval(expr, n)
+        rhs = oracle_eval(expr, n)
         if coeffs[n] != rhs:
             return (n, coeffs[n], rhs)
     return None

@@ -1,14 +1,10 @@
 import dataclasses
-import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qpcert.certify import (
     InsufficientSamples,
-    _agrees,
-    _fit_residues,
     certify,
     fit_quasipoly,
     probe_indices,
@@ -18,7 +14,6 @@ from qpcert.certify import (
 from qpcert.closedform import expr_eval, expr_to_qp, parse
 from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
-from qpcert.quasipoly import QuasiPoly
 from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
 
 from oracles import (
@@ -26,9 +21,10 @@ from oracles import (
     frac_mul,
     grid_fit,
     naive_series_coeffs,
+    oracle_eval,
     scan_first_mismatch,
 )
-from test_acceptance import BATTERY
+from test_acceptance import ANDREWS, BATTERY
 from test_closedform import _exprs
 
 
@@ -207,33 +203,30 @@ def test_soundness_probe_detects_tampered_period():
 
 
 def test_soundness_probe_detects_swapped_gf():
-    # the probe rebuilds and expands the certificate's own gf; a gf of
-    # period 30 does not fit the period-12 window it was swapped into
+    # the window still matches its bounds, but the swapped-in gf's
+    # coefficients grow like n^2/60, not like the expression's n^2/48
     cert = certify(triangle_gf(), andrews_expr())
     swapped = dataclasses.replace(cert, gf=RationalGF.from_parts((2, 3, 5), shift=3))
     assert not soundness_probe(swapped, 500, 100000, seed=0)
 
 
-# Fitted constituents have den > 1 but are integer-valued on their own
-# residue class; the 1/scale factor makes the values non-integer too.
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=1, max_value=6).flatmap(
-           lambda L: st.integers(min_value=0, max_value=3).flatmap(
-               lambda d: st.tuples(st.just(L), st.lists(
-                   st.integers(min_value=-50, max_value=50),
-                   min_size=(d + 1) * L, max_size=(d + 1) * L)))),
-       st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=10**6),
-       st.integers(min_value=-1, max_value=1))
-def test_integer_agreement_matches_fraction_oracle(fit_data, scale, n, delta):
-    period, samples = fit_data
-    model = _fit_residues(samples, 0, len(samples), period)
-    model = QuasiPoly(period, tuple(p * Fraction(1, scale) for p in model.constituents))
-    # v at or beside the value, so both verdicts occur
-    v = math.floor(model(n)) + delta
-    assert _agrees(model, n, v) == fraction_agrees(model, n, v)
-    for m, s in enumerate(samples):
-        assert _agrees(model, m, s // scale) == fraction_agrees(model, m, s // scale)
+def test_soundness_probe_evaluates_the_expression():
+    # floor(n/36) is 0 on the whole window [0, 36) and positive from 36
+    # on, so the certificate's window data says nothing about the error
+    cert = certify(triangle_gf(), andrews_expr())
+    wrong = dataclasses.replace(cert, expr=parse(ANDREWS + " + floor(n/36)"))
+    assert not soundness_probe(wrong, 500, 100000, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", range(0, 35)),
+    ("onset", 1),
+    ("degree_bound", 1),
+])
+def test_soundness_probe_rejects_malformed_window(field, value):
+    cert = certify(triangle_gf(), andrews_expr())
+    malformed = dataclasses.replace(cert, **{field: value})
+    assert not soundness_probe(malformed, 500, 100000, seed=0)
 
 
 def test_soundness_probe_requires_certified():
@@ -255,7 +248,7 @@ def _identity_gf(expr, period, degree):
     D, so N is that product truncated below (D+1)*P.
     """
     size = (degree + 1) * period
-    num = [expr_eval(expr, n) for n in range(size)]
+    num = [oracle_eval(expr, n) for n in range(size)]
     for _ in range(degree + 1):
         num = frac_mul(num, (1,) + (0,) * (period - 1) + (-1,))[:size]
     return RationalGF(Poly(*num), (period,) * (degree + 1))
@@ -309,7 +302,7 @@ def _certify_draws(draw):
     qp = expr_to_qp(expr)
     assume(qp.degree <= 3 and 60 % qp.period == 0)
     size = sum(parts) + 2
-    num = [expr_eval(expr, n) for n in range(size)]
+    num = [oracle_eval(expr, n) for n in range(size)]
     for b in parts:
         num = list(frac_mul(num, (1,) + (0,) * (b - 1) + (-1,))[:size])
     num = [int(c) for c in num] + [0] * (size - len(num))
@@ -324,15 +317,18 @@ def _certify_draws(draw):
 @given(_certify_draws())
 def test_certify_verdict_matches_oracle_far_past_window(draw):
     # certified means the identity holds from the onset on, so the brute
-    # oracle must find no mismatch on [t, 3*stop); refuted means the
-    # witness is the oracle's first mismatch, which lies in the window
+    # oracle must find no mismatch on [t, 3*stop), and the probe must
+    # agree there too; refuted means the witness is the oracle's first
+    # mismatch, which lies in the window
     gf, num, expr, override = draw
     cert = certify(gf, expr, onset_override=override)
     upto = 3 * cert.window.stop
     coeffs = naive_series_coeffs(gf.parts, num, upto - 1)
     mismatch = scan_first_mismatch(coeffs, expr, range(cert.onset, upto))
     assert cert.certified == (mismatch is None)
-    if not cert.certified:
+    if cert.certified:
+        assert soundness_probe(cert, 50, upto, seed=0)
+    else:
         w = cert.refutation
         assert (w.n, w.lhs, w.rhs) == mismatch
 

@@ -128,6 +128,23 @@ def test_certify_out_of_memory_exit_two(capsys, monkeypatch):
     assert err.startswith("error: out of memory")
 
 
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--parts", "1", "--shift", "0", "--expr", "1", "--onset", HUGE],
+    ["coeffs", "--parts", "1", "--shift", "0", "--upto", HUGE],
+    ["certify", "--parts", "1", "--shift", HUGE, "--expr", "1"],
+    ["certify", "--parts", HUGE, "--shift", "0", "--expr", "1"],
+])
+def test_index_too_large_to_allocate_exit_two(capsys, argv):
+    # exit 1 would read as "refuted"; an index past the address space is bad input
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_certify_probe_reported(capsys):
     code, out, _ = run(
         capsys,

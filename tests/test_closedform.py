@@ -25,6 +25,8 @@ from qpcert.closedform import (
 from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 
+from oracles import oracle_eval
+
 ANDREWS = "round(n^2/12) - floor(n/4)*floor((n+2)/4)"
 
 # battery of closed forms exercising nesting, round-of-floor and products
@@ -255,6 +257,14 @@ def test_expr_values_match_expr_eval(e, start, length):
     # negative starts exercise floor toward -inf; length 0 is the empty range
     ns = range(start, start + length)
     assert expr_values(e, ns) == [expr_eval(e, n) for n in ns]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs(), st.integers(min_value=-60, max_value=60), st.integers(min_value=0, max_value=40))
+def test_expr_values_match_fraction_oracle(e, start, length):
+    # the oracle rounds exact Fractions, not the interpreter's integer //
+    ns = range(start, start + length)
+    assert expr_values(e, ns) == [oracle_eval(e, n) for n in ns]
 
 
 @pytest.mark.parametrize("text", ["7", "floor(-7/2)*3", "(2 - 5)^3", "round(9/4) + 0"])
