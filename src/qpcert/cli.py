@@ -7,15 +7,16 @@ fraction strings, never as floats, so documents diff cleanly across
 platforms.  Exit codes: 0 success/certified, 1 refuted (or a failed
 37-term check), 2 usage or parse errors, an expression nested too
 deeply, an index or size too large to allocate, or running out of
-memory.
+memory.  A stdout closed by its reader (``qpcert coeffs ... | head``)
+ends the output, not the command: the exit code stays the command's own.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
+import os
 import sys
 from itertools import chain
 
@@ -105,20 +106,34 @@ def _gf_inputs(args, **extra) -> dict:
 
 
 def _render(fmt: str, doc, rows, lines):
-    """Print doc() as json, rows as csv, or lines as text.
+    """Write doc() as json, rows as csv, or lines as text, in one write.
 
     doc is a zero-argument function returning the json document, and rows
     and lines are iterables; each is consumed only for the chosen format,
     so neither the document's inputs nor a long coefficient dump is built
-    in the forms not printed.
+    in the forms not printed.  A csv row is its fields joined by "," with
+    no quoting: every field is a decimal integer or "p/q" string, a
+    space-separated list of those, a fixed word or dotted key, or empty,
+    so none holds a comma, a double quote, a carriage return or a newline,
+    and no row is one empty field: csv would quote none of them.
+
+    A reader that closes the pipe early (``qpcert coeffs ... | head``)
+    ends the output, not the command: stdout is pointed at os.devnull so
+    the flush at exit is silent, and the caller returns its own exit code.
     """
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc(), indent=2, sort_keys=True) + "\n")
+        text = json.dumps(doc(), indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        text = "".join([",".join(row) + "\n" for row in rows])
     else:
-        for line in lines:
-            print(line)
+        text = "".join([line + "\n" for line in lines])
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _csv_fields(result: dict):

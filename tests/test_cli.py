@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,38 @@ def test_certify_probe_rejects_onset_beyond_probe_limit(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "--onset" in err and "--probe" in err and "100000" in err
+
+
+def _spawn(argv):
+    """qpcert argv in a child interpreter, stdout and stderr piped back.
+
+    stdout is block-buffered as in a default shell, so a flush at exit
+    would meet the closed pipe too.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "qpcert.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_reader_closing_early_leaves_coeffs_exit_zero():
+    # `qpcert coeffs ... | head -n 1`: 200001 rows overflow the pipe buffer,
+    # so the child is still writing when the reader goes away
+    with _spawn(["coeffs", "--parts", "1,2,3,4,5,6,7", "--shift", "0",
+                 "--upto", "200000", "--format", "csv"]) as proc:
+        assert proc.stdout.readline() == b"n,coefficient\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_reader_closed_before_write_keeps_refuted_exit_one():
+    with _spawn(["certify", "--parts", "2,3,4", "--shift", "3", "--expr", "floor(n/4)"]) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_triangles_count(capsys):

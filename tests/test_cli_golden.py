@@ -8,6 +8,7 @@ output byte fails here.
 """
 
 import contextlib
+import csv
 import io
 import json
 from pathlib import Path
@@ -25,6 +26,15 @@ def test_cli_output_is_byte_identical(case, capsys, monkeypatch):
     code = main(case["argv"])
     assert code == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c["argv"][-1] == "csv"],
+                         ids=lambda c: c["name"])
+def test_csv_fields_need_no_quoting(case):
+    # the csv form joins fields with "," unquoted; a csv reader must read
+    # the same rows back
+    rows = list(csv.reader(io.StringIO(case["stdout"], newline="")))
+    assert "".join(",".join(row) + "\n" for row in rows) == case["stdout"]
 
 
 # argparse rejects these mid-parse with SystemExit(2) and a usage message
