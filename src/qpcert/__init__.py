@@ -20,6 +20,7 @@ from .closedform import (
     DivisorNotLiteral,
     Expr,
     ExprSyntaxError,
+    expr_bounds,
     expr_eval,
     expr_to_qp,
     expr_values,
@@ -61,6 +62,7 @@ __all__ = [
     "andrews_expr",
     "certify",
     "count_bruteforce",
+    "expr_bounds",
     "expr_eval",
     "expr_to_qp",
     "expr_values",

@@ -10,8 +10,9 @@ n >= onset.  A Certified verdict is therefore a theorem, not a sample.
 The window is checked in one pass: the coefficients come from the
 generating function's series expansion and the closed form's values from
 expr_values, the integer interpreter run over the whole window at once.
-The converted quasi-polynomial only sizes the window; it never supplies
-a value that is checked, so the check does not depend on the conversion.
+The expression's side of D and P comes from expr_bounds, a fold over its
+AST in integers, so no quasi-polynomial is built to size the window, and
+no checked value comes from anything but the series and the interpreter.
 
 fit_quasipoly is the matching guessing procedure.  On each residue class
 mod L a quasi-polynomial's values form a polynomial sequence, and a
@@ -27,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .closedform import Expr, expr_to_qp, expr_values
+from .closedform import Expr, expr_bounds, expr_values
 from .genfunc import RationalGF
 from .polynomial import _differences, interpolate
 from .quasipoly import QuasiPoly
@@ -75,16 +76,15 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     """Prove or refute: coefficient n of gf == expr(n) for all n >= onset.
 
     The degree bound is the max of the generating function's bound and
-    the converted expression's degree; the period is the lcm of the two
+    the expression's (expr_bounds); the period is the lcm of the two
     periods.  Refutation is a result, not an error: the returned witness
     is the first mismatching index in the window.
     """
     if onset_override is not None and onset_override < 0:
         raise ValueError("onset_override must be non-negative")
-    qp = expr_to_qp(expr)
-    # a zero expression has degree -1; gf.degree_bound() is >= 0
-    degree = max(gf.degree_bound(), qp.degree)
-    period = math.lcm(gf.period_bound(), qp.period)
+    d, p = expr_bounds(expr)
+    degree = max(gf.degree_bound(), d)
+    period = math.lcm(gf.period_bound(), p)
     onset = gf.onset() if onset_override is None else onset_override
     window = _window(onset, degree, period)
     lhs = gf.coeffs(window.stop - 1)[onset:]
@@ -115,7 +115,8 @@ def rebuild_model(cert: Certificate) -> QuasiPoly:
     Interpolates the checked coefficients per residue class mod
     cert.period.  For an honest certificate this reconstructs the unique
     degree <= D quasi-polynomial behind the sequence, the one that
-    expr_to_qp(cert.expr) is equivalent to.
+    expr_to_qp(cert.expr) is equivalent to; certify itself never builds
+    that quasi-polynomial.
     """
     start, stop = cert.window.start, cert.window.stop
     return _fit_residues(cert.gf.coeffs(stop - 1), start, stop, cert.period)

@@ -23,6 +23,10 @@ that support them:
 - the identity quasi-polynomial: expr_to_qp, which so computes exactly
   the quasi-polynomial that every well-formed expression is.
 
+expr_bounds gets a degree bound and a period of that quasi-polynomial
+without building it: a fold over the AST that reads each floor's period
+off its operand's integer values mod the divisor.
+
 >>> e = parse("round(n^2/12)")
 >>> [expr_eval(e, n) for n in range(8)]
 [0, 0, 0, 1, 1, 2, 3, 4]
@@ -31,10 +35,13 @@ that support them:
 >>> q = expr_to_qp(e)
 >>> q.period, q.degree, [q(n) for n in range(8)] == [expr_eval(e, n) for n in range(8)]
 (6, 2, True)
+>>> expr_bounds(e)
+(2, 6)
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import string
 from dataclasses import dataclass
@@ -396,6 +403,94 @@ def expr_to_qp(e: Expr) -> QuasiPoly:
     """
     v = _interpret(e, _N)
     return v if isinstance(v, QuasiPoly) else QuasiPoly.constant(v)
+
+
+def expr_bounds(e: Expr) -> tuple[int, int]:
+    """(degree bound, period bound) of e's quasi-polynomial, from integers.
+
+    On every residue class mod the period bound, e is a polynomial of at
+    most the degree bound.  The bounds are folded over the AST: a
+    constant is (0, 1) and n is (1, 1); + and - take the larger degree,
+    * the sum and ^ k k times it, each the lcm of the periods.  A floor
+    refines the period from its operand's values (see _floor_period), and
+    round(X/m) is floor((2X + m)/(2m)), as in _interpret.
+
+    Only integers are computed, unlike expr_to_qp's exact quasi-polynomial.
+    Where terms cancel the bounds overshoot the exact degree and period
+    (n - n has degree bound 1), but the period bound is always a multiple
+    of the exact period and the degree bound never below the degree.
+    """
+    if isinstance(e, Const):
+        return 0, 1
+    if isinstance(e, Var):
+        return 1, 1
+    if isinstance(e, Neg):
+        return expr_bounds(e.operand)
+    if isinstance(e, (Add, Sub, Mul)):
+        (d1, p1), (d2, p2) = expr_bounds(e.left), expr_bounds(e.right)
+        return (d1 + d2 if isinstance(e, Mul) else max(d1, d2)), math.lcm(p1, p2)
+    if isinstance(e, Pow):
+        d, p = expr_bounds(e.base)
+        return d * e.exponent, p
+    if isinstance(e, Floor):
+        d, p = expr_bounds(e.operand)
+        return d, p * _floor_period(e.operand, d, p, e.divisor)
+    if isinstance(e, Round):
+        return expr_bounds(Floor(Add(Mul(Const(2), e.operand), Const(e.divisor)), 2 * e.divisor))
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _floor_period(x: Expr, d: int, p: int, m: int) -> int:
+    """Least T such that x mod m has period p*T; x has degree <= d mod p.
+
+    On residue class r, k -> x(r + p*k) is an integer-valued polynomial
+    sum_i a_i*C(k, i) of degree <= d, so g(k) = x(r + p*(k+T)) - x(r + p*k)
+    is one of degree < d.  Its binomial coefficients are integer
+    combinations of g(0), ..., g(d-1), so g is 0 mod m everywhere iff it
+    is at k < d: p*T is a period of x mod m iff x(n + p*T) = x(n) mod m
+    for n in [0, d*p), one expr_values pass over every class at once.
+
+    For each prime power q^e of m, q^(e+s) with s = floor(log_q d) is
+    such a T for x mod q^e: C(q^N, l) has at least N - s factors q for
+    l <= d, so C(k + q^N, i) - C(k, i) = sum_l C(k, i-l)*C(q^N, l) is a
+    multiple of q^e.  Their product, the part of m*lcm(1..d) made of m's
+    primes, is a T for x mod m, so the least T divides it.  Periods are
+    closed under gcd, so dividing out one prime of m at a time while the
+    test passes ends at the least T (but see _prime_factors).
+    """
+    def residues(start):
+        return [v % m for v in expr_values(x, range(start, start + d * p))]
+
+    base = residues(0)
+    t = coprime = m * math.lcm(*range(1, d + 1))
+    while (g := math.gcd(coprime, m)) > 1:
+        coprime //= g
+    t //= coprime
+    for q in _prime_factors(m):
+        while t % q == 0 and residues(p * (t // q)) == base:
+            t //= q
+    return t
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The primes dividing n >= 1, by trial division below 2^16.
+
+    A cofactor with no prime factor below 2^16 is listed whole: below
+    2^32 it is prime, above it may be a product of larger primes.
+    Dividing such a product out whole still leaves a period, only perhaps
+    not the least one.
+    """
+    out = []
+    q = 2
+    while q * q <= n and q < 1 << 16:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 # -- pretty printer ----------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -285,6 +286,51 @@ def test_first_witness_matches_per_index_scan(text):
         assert expected[0] == k
         w = cert.refutation
         assert (w.n, w.lhs, w.rhs) == expected
+
+
+# (n - 2*floor(n/2))*(n - 3*floor(n/3)) is (n mod 2)*(n mod 3), of degree
+# 0, but the bounds fold gives it degree bound 2, so certify checks a wider
+# window there (the certify-cancelled-product golden case)
+_TIGHT_BATTERY = [t for t in BATTERY if t != "(n - 2*floor(n/2))*(n - 3*floor(n/3))"]
+
+
+@st.composite
+def _tight_identities(draw):
+    """A battery entry or one of the benchmark's three certify-wide shapes.
+
+    The bounds fold is exact on all of them.  The wide shapes' divisors
+    are kept small enough that the oracle builds each identity quickly.
+    """
+    c = draw(st.integers(0, 9))
+    m = draw(st.integers(2, 120))
+    a = m // 12 + 2
+    return draw(st.sampled_from(_TIGHT_BATTERY + [
+        f"floor((n^2 + {c + 1}*n)/{m})",
+        f"round(n^3/{m // 2 + 1})",
+        f"floor(n/{a})*floor((n + {c})/{a + 1})",
+    ]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tight_identities(), st.data())
+def test_certify_sizes_window_as_exact_conversion_where_fold_is_tight(text, data):
+    # the GF is built as the benchmark builds an identity, on parts
+    # (T,)*(D+1) with D and T from the exact conversion; certify must size
+    # and check the window as when it took its bounds from expr_to_qp
+    expr = parse(text)
+    qp = expr_to_qp(expr)
+    gf = _identity_gf(expr, qp.period, qp.degree)
+    degree = max(gf.degree_bound(), qp.degree)
+    period = math.lcm(gf.period_bound(), qp.period)
+    window = range(gf.onset(), gf.onset() + (degree + 1) * period)
+    k = data.draw(st.one_of(st.none(), st.sampled_from(window)))
+    if k is not None:
+        gf = _bump(gf, k, window.stop)
+    cert = certify(gf, expr, onset_override=None if k is None else window.start)
+    assert (cert.degree_bound, cert.period, cert.window) == (degree, period, window)
+    coeffs = naive_series_coeffs(gf.parts, gf.numerator.coeffs, window.stop - 1)
+    w = cert.refutation
+    assert (None if w is None else (w.n, w.lhs, w.rhs)) == scan_first_mismatch(coeffs, expr, window)
 
 
 @st.composite

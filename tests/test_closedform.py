@@ -16,6 +16,7 @@ from qpcert.closedform import (
     Sub,
     Var,
     _Column,
+    expr_bounds,
     expr_eval,
     expr_to_qp,
     expr_values,
@@ -249,6 +250,33 @@ def test_conversion_soundness_random(e):
     q = expr_to_qp(e)
     for n in range(-12, 37, 5):
         assert q(n) == expr_eval(e, n)
+
+
+@pytest.mark.parametrize("text, bounds", [
+    (ANDREWS, (2, 12)),
+    ("round(n^2/12)", (2, 6)),
+    ("floor(n^2/100000)", (2, 50000)),
+    ("floor(n/1000003)", (1, 1000003)),
+    ("round((round(n/4) + (3 - n))^3/6)", (3, 8)),
+    # the outer floor's period test runs over 100003 classes at once
+    ("floor(floor(n/100003)/7)", (1, 700021)),
+    # cancelling terms: the fold overshoots the exact (0, 1)
+    ("n - n + 1", (1, 1)),
+    ("floor(n/4) - floor(n/4) + 1", (1, 4)),
+])
+def test_expr_bounds_fixed_cases(text, bounds):
+    assert expr_bounds(parse(text)) == bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs())
+def test_expr_bounds_sound_against_conversion(e):
+    # expr_to_qp's period is the least one, so a sound period bound is a
+    # multiple of it
+    degree, period = expr_bounds(e)
+    q = expr_to_qp(e)
+    assert period % q.period == 0
+    assert degree >= q.degree
 
 
 @settings(max_examples=120, deadline=None)
