@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .closedform import Expr, expr_bounds, expr_values
 from .genfunc import RationalGF
@@ -91,7 +92,7 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     rhs = expr_values(expr, window)
     refutation = None
     if lhs != rhs:
-        i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        i = next(compress(count(), map(operator.ne, lhs, rhs)))
         refutation = Refutation(n=onset + i, lhs=lhs[i], rhs=rhs[i])
     return Certificate(
         gf=gf,
@@ -235,7 +236,7 @@ def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
         raise ValueError("l_max must be >= 1")
     if holdout < 1:
         raise ValueError("holdout must be >= 1")
-    samples = [operator.index(v) for v in samples]
+    samples = list(map(operator.index, samples))
     minimum = (d_max + 1) * l_max + holdout
     if len(samples) < minimum:
         raise InsufficientSamples(

@@ -4,11 +4,15 @@ Subcommands: coeffs, certify, triangles (count|list), fit, paper.
 Every command renders one output document in text, json or csv form; all
 exact numbers are serialized as decimal integer strings or "p/q"
 fraction strings, never as floats, so documents diff cleanly across
-platforms.  Exit codes: 0 success/certified, 1 refuted (or a failed
-37-term check), 2 usage or parse errors, an expression nested too
-deeply, an index or size too large to allocate, or running out of
-memory.  A stdout closed by its reader (``qpcert coeffs ... | head``)
-ends the output, not the command: the exit code stays the command's own.
+platforms.  The json form is byte-identical to
+json.dumps(doc, indent=2, sort_keys=True) followed by a newline: the
+same ASCII escapes, key order and indentation, written by a small
+writer that accepts only the types a document holds.  Exit codes: 0
+success/certified, 1 refuted (or a failed 37-term check), 2 usage or
+parse errors, an expression nested too deeply, an index or size too
+large to allocate, or running out of memory.  A stdout closed by its
+reader (``qpcert coeffs ... | head``) ends the output, not the command:
+the exit code stays the command's own.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .triangles import count_bruteforce, list_triangles, paper_terms
 SCHEMA_VERSION = "1"
 PROBE_N_MAX = 100000
 
+_json_str = json.encoder.encode_basestring_ascii
+
 
 # -- argument helpers ---------------------------------------------------
 
@@ -47,7 +53,7 @@ def _parts_arg(text: str) -> list[int]:
 
 def _int_list_arg(text: str) -> list[int]:
     try:
-        return [int(p) for p in text.split(",")]
+        return list(map(int, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -95,9 +101,9 @@ def _gf_from_args(args) -> RationalGF:
 
 def _gf_inputs(args, **extra) -> dict:
     return {
-        "parts": [str(b) for b in args.parts],
+        "parts": list(map(str, args.parts)),
         "shift": None if args.shift is None else str(args.shift),
-        "numerator": None if args.num is None else [str(c) for c in args.num],
+        "numerator": None if args.num is None else list(map(str, args.num)),
         **extra,
     }
 
@@ -111,8 +117,10 @@ def _render(fmt: str, doc, rows, lines):
     doc is a zero-argument function returning the json document, and rows
     and lines are iterables; each is consumed only for the chosen format,
     so neither the document's inputs nor a long coefficient dump is built
-    in the forms not printed.  A csv row is its fields joined by "," with
-    no quoting: every field is a decimal integer or "p/q" string, a
+    in the forms not printed.  The json form is exactly the bytes of
+    json.dumps(doc(), indent=2, sort_keys=True) plus a newline, written
+    by _json_dump.  A csv row is its fields joined by "," with no
+    quoting: every field is a decimal integer or "p/q" string, a
     space-separated list of those, a fixed word or dotted key, or empty,
     so none holds a comma, a double quote, a carriage return or a newline,
     and no row is one empty field: csv would quote none of them.
@@ -122,11 +130,14 @@ def _render(fmt: str, doc, rows, lines):
     the flush at exit is silent, and the caller returns its own exit code.
     """
     if fmt == "json":
-        text = json.dumps(doc(), indent=2, sort_keys=True) + "\n"
+        out = []
+        _json_dump(doc(), out)
+        out.append("\n")
+        text = "".join(out)
     elif fmt == "csv":
-        text = "".join([",".join(row) + "\n" for row in rows])
+        text = "\n".join(chain(map(",".join, rows), [""]))
     else:
-        text = "".join([line + "\n" for line in lines])
+        text = "\n".join(chain(lines, [""]))
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -134,6 +145,42 @@ def _render(fmt: str, doc, rows, lines):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _json_dump(value, out: list, indent: str = "\n") -> None:
+    """Append the pieces of json.dumps(value, indent=2, sort_keys=True) to out.
+
+    Only the types documents hold are accepted: dicts with str keys,
+    lists, str, bool and None; anything else raises TypeError.  A list
+    whose first element is a str is a list of strings: it is encoded with
+    one map and one join, so a non-str element in it raises TypeError
+    instead of being rendered.
+    """
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif not isinstance(value, (dict, list)):
+        raise TypeError(f"a document holds no {type(value).__name__}")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner, sep = indent + "  ", "{"
+        for key, item in sorted(value.items()):
+            out += (sep, inner, _json_str(key), ": ")
+            _json_dump(item, out, inner)
+            sep = ","
+        out += (indent, "}")
+    elif isinstance(value[0], str):
+        inner = indent + "  "
+        out += ("[", inner, ("," + inner).join(map(_json_str, value)), indent, "]")
+    else:
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _json_dump(item, out, inner)
+            sep = ","
+        out += (indent, "]")
 
 
 def _csv_fields(result: dict):
@@ -145,7 +192,7 @@ def _csv_fields(result: dict):
             for k, v in value.items():
                 yield from walk(f"{prefix}.{k}" if prefix else k, v)
         elif isinstance(value, list):
-            yield [prefix, " ".join(str(v) for v in value)]
+            yield [prefix, " ".join(map(str, value))]
         elif isinstance(value, bool):
             yield [prefix, "true" if value else "false"]
         elif value is None:
@@ -272,7 +319,7 @@ def _read_values(args) -> list[int]:
         with open(args.values, "r", encoding="ascii") as fh:
             text = fh.read()
     try:
-        return [int(tok) for tok in text.split()]
+        return list(map(int, text.split()))
     except ValueError as exc:
         raise ValueError(f"values must be whitespace-separated integers: {exc}")
 

@@ -6,8 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qpcert.cli import main
+from qpcert.cli import _json_dump, main
 from qpcert.triangles import count_bruteforce
 
 ANDREWS = "round(n^2/12)-floor(n/4)*floor((n+2)/4)"
@@ -99,6 +100,15 @@ def test_certify_trunc_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert "unknown identifier 'trunc'" in err
+
+
+@pytest.mark.parametrize("num", ["1,x", "1,,2", "1.5", ""])
+def test_certify_bad_num_token_error_text(capsys, num):
+    with pytest.raises(SystemExit) as err:
+        main(["certify", "--parts", "1", "--num", num, "--expr", "1"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"qpcert certify: error: argument --num: expected comma-separated integers, got {num!r}")
 
 
 def test_certify_non_ascii_digit_exit_two(capsys):
@@ -267,7 +277,8 @@ def test_fit_rejects_non_integer_values(tmp_path, capsys):
     values.write_text("1 2 x")
     code, _, err = run(capsys, ["fit", "--values", str(values), "--dmax", "1", "--lmax", "1"])
     assert code == 2
-    assert "integers" in err
+    assert err == ("error: values must be whitespace-separated integers: "
+                   "invalid literal for int() with base 10: 'x'\n")
 
 
 def test_paper_text(capsys):
@@ -345,3 +356,43 @@ def test_unknown_subcommand_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# strings heavy in what json escapes: quotes, backslashes, control
+# characters, DEL, non-ASCII and astral code points, lone surrogates
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028€😀')
+                     | st.characters(exclude_categories=()), max_size=8)
+
+
+def _documents():
+    return st.recursive(
+        st.none() | st.booleans() | _JSON_TEXT,
+        lambda inner: (
+            st.lists(_JSON_TEXT, max_size=5)
+            # a list led by a non-str is written element by element
+            | st.builds(lambda first, rest: [first, *rest],
+                        inner.filter(lambda v: not isinstance(v, str)),
+                        st.lists(inner, max_size=4))
+            | st.dictionaries(_JSON_TEXT, inner, max_size=5)
+        ),
+        max_leaves=30,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents())
+def test_json_writer_matches_stdlib_encoder(doc):
+    out = []
+    _json_dump(doc, out)
+    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    ["1", 2], ["a", None], ["a", True], ["a", ["b"]], {"k": ["1", {}]},
+    3, {"k": 1.5}, {1: "a"}, ("a",),
+])
+def test_json_writer_rejects_what_documents_do_not_hold(value):
+    # a string list is encoded in one pass: a non-str element raises
+    # instead of being rendered
+    with pytest.raises(TypeError):
+        _json_dump(value, [])
