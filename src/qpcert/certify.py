@@ -53,11 +53,12 @@ class Certificate:
     """Outcome of a finite-check certification run.
 
     `window` is the checked index range; it always spans exactly
-    degree_bound + 1 points in each residue class mod period, and every
-    index in it was compared (coefficient against the expression's
-    integer value).  If `refutation` is None the verdict is Certified and
-    the identity holds for every n >= onset; otherwise it is the smallest
-    mismatching index.
+    degree_bound + 1 points in each residue class mod period, and both
+    sides (coefficient and the expression's integer value) were computed
+    at every index in it.  If `refutation` is None the verdict is
+    Certified: every index was compared and the identity holds for every
+    n >= onset.  Otherwise it is the smallest mismatching index, and the
+    comparison stopped there: indices past it were not compared.
     """
 
     gf: RationalGF

@@ -7,7 +7,9 @@ fraction strings, never as floats, so documents diff cleanly across
 platforms.  The json form is byte-identical to
 json.dumps(doc, indent=2, sort_keys=True) followed by a newline: the
 same ASCII escapes, key order and indentation, written by a small
-writer that accepts only the types a document holds.  Exit codes: 0
+writer that accepts only the types a document holds.  Integer flags and
+fit's values are ASCII, in any spelling int() reads (' 1', '+0', '00',
+'-0'); a blank list field is an error.  Exit codes: 0
 success/certified, 1 refuted (or a failed 37-term check), 2 usage or
 parse errors, an expression nested too deeply, an index or size too
 large to allocate, or running out of memory.  A stdout closed by its
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 from itertools import chain
+from pathlib import Path
 
 from .certify import certify, fit_quasipoly, soundness_probe
 from .closedform import parse
@@ -39,43 +42,43 @@ _json_str = json.encoder.encode_basestring_ascii
 # -- argument helpers ---------------------------------------------------
 
 
-def _parts_arg(text: str) -> list[int]:
-    try:
-        parts = [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not parts:
-        raise argparse.ArgumentTypeError("parts must be non-empty")
-    if any(b < 1 for b in parts):
-        raise argparse.ArgumentTypeError(f"part sizes must be positive, got {text!r}")
-    return parts
+def _ints(text: str, sep: str | None) -> list[int]:
+    """int() of each sep-separated field of text, which must be ASCII.
+
+    int() also reads other scripts' digits (Arabic-Indic '٣' as 3).
+    """
+    if not text.isascii():
+        i = next(i for i, c in enumerate(text) if not c.isascii())
+        raise ValueError(f"non-ASCII character {text[i]!r} at offset {i}")
+    return list(map(int, text.split(sep)))
+
+
+def _int_arg(low: int | None = None):
+    """argparse type for one integer, at least low (0 or 1) if given."""
+    def read(text: str) -> int:
+        try:
+            [value] = _ints(text, ",")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {'positive' if low else 'non-negative'} integer, got {value}")
+        return value
+    return read
 
 
 def _int_list_arg(text: str) -> list[int]:
     try:
-        return list(map(int, text.split(",")))
+        return _ints(text, ",")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _nonneg_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
-def _pos_arg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _parts_arg(text: str) -> list[int]:
+    parts = _int_list_arg(text)
+    if min(parts) < 1:
+        raise argparse.ArgumentTypeError(f"part sizes must be positive, got {text!r}")
+    return parts
 
 
 def _add_format_flag(p: argparse.ArgumentParser):
@@ -86,7 +89,7 @@ def _add_gf_flags(p: argparse.ArgumentParser):
     p.add_argument("--parts", type=_parts_arg, required=True,
                    help="denominator part sizes, e.g. 2,3,4")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--shift", type=_nonneg_arg,
+    group.add_argument("--shift", type=_int_arg(0),
                        help="numerator q^shift")
     group.add_argument("--num", type=_int_list_arg,
                        help="numerator coefficients c0,c1,... (low to high)")
@@ -313,13 +316,9 @@ def _cmd_triangles_list(args) -> int:
 
 
 def _read_values(args) -> list[int]:
-    if args.stdin:
-        text = sys.stdin.read()
-    else:
-        with open(args.values, "r", encoding="ascii") as fh:
-            text = fh.read()
+    text = sys.stdin.read() if args.stdin else Path(args.values).read_text(encoding="utf-8")
     try:
-        return list(map(int, text.split()))
+        return _ints(text, None)
     except ValueError as exc:
         raise ValueError(f"values must be whitespace-separated integers: {exc}")
 
@@ -398,29 +397,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", help="print power-series coefficients")
     _add_gf_flags(p)
-    p.add_argument("--upto", type=_nonneg_arg, required=True, help="last index N")
+    p.add_argument("--upto", type=_int_arg(0), required=True, help="last index N")
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_coeffs)
 
     p = sub.add_parser("certify", help="prove or refute coefficients == expression")
     _add_gf_flags(p)
     p.add_argument("--expr", required=True, help="closed-form expression in n")
-    p.add_argument("--onset", type=_nonneg_arg, default=None,
+    p.add_argument("--onset", type=_int_arg(0), default=None,
                    help="claim the identity only for n >= onset")
-    p.add_argument("--probe", type=_nonneg_arg, default=None, metavar="K",
+    p.add_argument("--probe", type=_int_arg(0), default=None, metavar="K",
                    help=f"after certifying, cross-check K random indices up to {PROBE_N_MAX}")
-    p.add_argument("--seed", type=int, default=0, help="probe RNG seed")
+    p.add_argument("--seed", type=_int_arg(), default=0, help="probe RNG seed")
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("triangles", help="integer-sided triangles by perimeter")
     tsub = p.add_subparsers(dest="subcommand", required=True)
     pc = tsub.add_parser("count", help="count triangles of a perimeter")
-    pc.add_argument("--perimeter", type=_nonneg_arg, required=True)
+    pc.add_argument("--perimeter", type=_int_arg(0), required=True)
     _add_format_flag(pc)
     pc.set_defaults(handler=_cmd_triangles_count)
     pl = tsub.add_parser("list", help="list triangles of a perimeter")
-    pl.add_argument("--perimeter", type=_nonneg_arg, required=True)
+    pl.add_argument("--perimeter", type=_int_arg(0), required=True)
     _add_format_flag(pl)
     pl.set_defaults(handler=_cmd_triangles_list)
 
@@ -428,11 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="file of whitespace-separated integers")
     group.add_argument("--stdin", action="store_true", help="read samples from stdin")
-    p.add_argument("--dmax", type=_nonneg_arg, required=True,
+    p.add_argument("--dmax", type=_int_arg(0), required=True,
                    help="cap on the fitted degree")
-    p.add_argument("--lmax", type=_pos_arg, required=True,
+    p.add_argument("--lmax", type=_int_arg(1), required=True,
                    help="cap on the fitted period")
-    p.add_argument("--holdout", type=_pos_arg, default=1,
+    p.add_argument("--holdout", type=_int_arg(1), default=1,
                    help="minimum samples kept unseen by the largest ansatz")
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_fit)

@@ -457,19 +457,40 @@ def _floor_period(x: Expr, d: int, p: int, m: int) -> int:
     primes, is a T for x mod m, so the least T divides it.  Periods are
     closed under gcd, so dividing out one prime of m at a time while the
     test passes ends at the least T (but see _prime_factors).
+
+    An x with no floor or round in it (so p = 1) is a polynomial with
+    integer coefficients, so x(n + m) = x(n) mod m and the search starts
+    from T = m instead: far fewer, smaller values when d is large.  p = 1
+    alone is not enough: floor((n^2 - n)/2) has p = 1 but period 4 mod 2.
     """
     def residues(start):
         return [v % m for v in expr_values(x, range(start, start + d * p))]
 
     base = residues(0)
-    t = coprime = m * math.lcm(*range(1, d + 1))
-    while (g := math.gcd(coprime, m)) > 1:
-        coprime //= g
-    t //= coprime
+    if _has_division(x):
+        t = coprime = m * math.lcm(*range(1, d + 1))
+        while (g := math.gcd(coprime, m)) > 1:
+            coprime //= g
+        t //= coprime
+    else:
+        t = m
     for q in _prime_factors(m):
         while t % q == 0 and residues(p * (t // q)) == base:
             t //= q
     return t
+
+
+def _has_division(e: Expr) -> bool:
+    """True if a floor or round occurs in e."""
+    if isinstance(e, (Const, Var)):
+        return False
+    if isinstance(e, Neg):
+        return _has_division(e.operand)
+    if isinstance(e, Pow):
+        return _has_division(e.base)
+    if isinstance(e, (Add, Sub, Mul)):
+        return _has_division(e.left) or _has_division(e.right)
+    return True
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -111,6 +111,43 @@ def test_certify_bad_num_token_error_text(capsys, num):
         f"qpcert certify: error: argument --num: expected comma-separated integers, got {num!r}")
 
 
+# int() reads other scripts' digits: Arabic-Indic 3 here would be read as 3
+ARABIC_3 = "\u0663"
+
+
+def _bad_flag(argv):
+    """(flag, value) of the one bad integer value in argv."""
+    i = next(i for i, a in enumerate(argv) if a == ARABIC_3 or ",," in a or a.endswith(","))
+    return argv[i - 1], argv[i]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--parts", ARABIC_3, "--shift", "0", "--expr", "1"],
+    ["certify", "--parts", "2,,3", "--shift", "0", "--expr", "1"],
+    ["certify", "--parts", "2,3,", "--shift", "0", "--expr", "1"],
+    ["certify", "--parts", "1", "--num", ARABIC_3, "--expr", "1"],
+    ["certify", "--parts", "1", "--shift", ARABIC_3, "--expr", "1"],
+    ["coeffs", "--parts", "1", "--shift", "0", "--upto", ARABIC_3],
+    ["certify", "--parts", "1", "--shift", "0", "--expr", "1", "--onset", ARABIC_3],
+    ["certify", "--parts", "1", "--shift", "0", "--expr", "1", "--probe", ARABIC_3],
+    ["certify", "--parts", "1", "--shift", "0", "--expr", "1", "--probe", "5",
+     "--seed", ARABIC_3],
+    ["triangles", "count", "--perimeter", ARABIC_3],
+    ["fit", "--stdin", "--dmax", ARABIC_3, "--lmax", "1"],
+    ["fit", "--stdin", "--dmax", "0", "--lmax", ARABIC_3],
+    ["fit", "--stdin", "--dmax", "0", "--lmax", "1", "--holdout", ARABIC_3],
+], ids=lambda argv: "{}={}".format(*_bad_flag(argv)))
+def test_integer_flag_rejects_non_ascii_and_blank_fields(capsys, argv):
+    flag, bad = _bad_flag(argv)
+    what = "comma-separated integers" if flag in ("--parts", "--num") else "an integer"
+    prog = " ".join(["qpcert", *(a for a in argv[:2] if not a.startswith("--"))])
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"{prog}: error: argument {flag}: expected {what}, got {bad!r}")
+
+
 def test_certify_non_ascii_digit_exit_two(capsys):
     # '1^٣' once parsed as 1^3 and certified
     code, out, err = run(capsys, ["certify", "--parts", "1", "--shift", "0", "--expr", "1^٣"])
@@ -279,6 +316,18 @@ def test_fit_rejects_non_integer_values(tmp_path, capsys):
     assert code == 2
     assert err == ("error: values must be whitespace-separated integers: "
                    "invalid literal for int() with base 10: 'x'\n")
+
+
+def test_fit_non_ascii_value_same_error_from_file_and_stdin(tmp_path, capsys, monkeypatch):
+    text = f"{ARABIC_3} 3 3 3 3"
+    values = tmp_path / "values.txt"
+    values.write_text(text, encoding="utf-8")
+    from_file = run(capsys, ["fit", "--values", str(values), "--dmax", "0", "--lmax", "1"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    from_stdin = run(capsys, ["fit", "--stdin", "--dmax", "0", "--lmax", "1"])
+    assert from_file == from_stdin == (2, "", (
+        "error: values must be whitespace-separated integers: "
+        f"non-ASCII character {ARABIC_3!r} at offset 0\n"))
 
 
 def test_paper_text(capsys):

@@ -47,6 +47,8 @@ USAGE_ERRORS = [
     ["coeffs", "--parts", "2", "--shift", "1", "--num", "1", "--upto", "3"],
     ["coeffs", "--parts", "2", "--shift", "1", "--upto", "-1", "--format", "json"],
     ["fit", "--stdin", "--dmax", "1", "--lmax", "0"],
+    # Arabic-Indic 12, which int() would read as 12
+    ["triangles", "count", "--perimeter", "\u0661\u0662"],
 ]
 
 
