@@ -165,9 +165,13 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     False if cert.window is not the window that cert.onset,
     cert.degree_bound and cert.period define.  Otherwise draws `probes`
     deterministic indices in [cert.onset, n_max] and compares both sides
-    of the certified identity there: the exact coefficients (one series
-    expansion up to the largest probed index) against the expression's
-    values (one expr_values pass).  True means every probe agreed; with a
+    of the certified identity there: the exact coefficients against the
+    expression's values (one expr_values pass).  The coefficients come
+    from RationalGF.coeffs_at, which for a probe far past lcm(parts)
+    reads them off the denominator lifted to (1 - q^L)^k and expands the
+    series only up to the lifted numerator's degree, so n_max is not
+    bounded by what an expansion can hold.  Neither side uses the window
+    theorem or expr_bounds.  True means every probe agreed; with a
     correct implementation this is a consequence of the certified
     theorem, so False indicates a bug (or a tampered certificate).
     """
@@ -180,8 +184,7 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     if probes == 0:
         return True
     indices = probe_indices(cert.onset, n_max, probes, seed)
-    coeffs = cert.gf.coeffs(max(indices))
-    return [coeffs[i] for i in indices] == expr_values(cert.expr, indices)
+    return cert.gf.coeffs_at(indices) == expr_values(cert.expr, indices)
 
 
 @dataclass(frozen=True)

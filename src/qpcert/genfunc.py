@@ -11,6 +11,12 @@ never leaves the integers.  Each pass runs its sums in C-level loops
 layout is shorter, so its Python-level steps number about
 sqrt(upto + 1), not upto.
 
+Single coefficients far out come from the lifted denominator instead:
+with L = lcm(parts) and k parts, N / prod(1 - q^b) = R / (1 - q^L)^k for
+the polynomial R = N * prod((1 - q^L) / (1 - q^b)), of degree
+deg N + k*L - sum(parts), so c_n = sum_j R[n - j*L] * C(j + k - 1, k - 1)
+needs the series only up to deg R (Stanley, EC1, section 4.4).
+
 The coefficient sequence of such a function agrees, from a computable
 onset index on, with a single quasi-polynomial whose degree is at most
 (#parts - 1) and whose period divides lcm(parts).  Those two bounds plus
@@ -21,8 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, count, repeat
+from operator import add, mul, sub
 
 from .polynomial import Poly
 
@@ -96,6 +102,54 @@ class RationalGF:
                 for s in range(b, size, b):
                     c[s:s + b] = map(add, c[s:s + b], c[s - b:s])
         return c
+
+    def coeffs_at(self, indices) -> list[int]:
+        """Exact coefficients c_n for each n in indices, in their order.
+
+        Lifts the denominator to (1 - q^L)^k, L = lcm(parts), when the
+        lifted numerator R ends below the largest index and its sums,
+        deg R // L + 1 terms per index, add up to no more than the
+        expansion up to that index would hold; otherwise reads that
+        expansion.  Either way the series is expanded to at most
+        max(deg R + 1, len(indices) * (deg R // L + 1)) terms, however far
+        out the indices lie.
+        """
+        indices = list(indices)
+        if not indices:
+            return []
+        top = max(indices)
+        if min(indices) < 0:
+            raise ValueError("indices must be non-negative")
+        lcm = self.period_bound()
+        deg_r = self.numerator.degree + len(self.parts) * lcm - sum(self.parts)
+        lifts = deg_r < top and len(indices) * (deg_r // lcm + 1) <= top + 1
+        return self._coeffs_lifted(indices, lcm if lifts else top + 1)
+
+    def _coeffs_lifted(self, indices: list[int], lift: int) -> list[int]:
+        """c_n for n in indices from r = (series * (1 - q^lift)^k) mod q^(m+1).
+
+        Then c_n = sum_j r[n - j*lift] * C(j + k - 1, k - 1) over
+        0 <= n - j*lift <= m.  That is exact for every lift >= 1 when
+        m = max(indices).  When lift is a multiple of lcm(parts), r is the
+        polynomial N * prod((1 - q^lift) / (1 - q^b)), so m stops at its
+        degree; an index whose residue class mod lift holds no index of r
+        is 0.  For lift = max(indices) + 1 the passes touch nothing and
+        c_n = r[n], the expansion itself.
+        """
+        k = len(self.parts)
+        m = max(indices)
+        if lift % self.period_bound() == 0:
+            m = max(0, min(m, self.numerator.degree + k * lift - sum(self.parts)))
+        r = self.coeffs(m)
+        for _ in range(k):
+            r[lift:] = map(sub, r[lift:], r[:-lift])
+        out = []
+        for n in indices:
+            j = max(0, (lift - 1 + n - m) // lift)  # first j with n - j*lift <= m
+            i = n - j * lift
+            out.append(sum(map(mul, r[i::-lift], map(math.comb, count(j + k - 1), repeat(k - 1))))
+                       if i >= 0 else 0)
+        return out
 
     def degree_bound(self) -> int:
         """Upper bound on the degree of the coefficient quasi-polynomial."""

@@ -230,6 +230,22 @@ def test_soundness_probe_rejects_malformed_window(field, value):
     assert not soundness_probe(malformed, 500, 100000, seed=0)
 
 
+def test_soundness_probe_far_past_any_expansion():
+    # indices up to 10^30: coeffs_at reads them off (1 - q^12)^3, whose
+    # numerator has degree 30, where an expansion could not be allocated
+    cert = certify(triangle_gf(), andrews_expr())
+    assert soundness_probe(cert, 500, 10**30, seed=0)
+
+
+def test_far_probe_rejects_formula_that_departs_past_10_to_12():
+    # the extra floor term is 0 on the window and on every n < 10^12, so
+    # only a probe past 10^12 can tell it from Andrews's formula
+    cert = certify(triangle_gf(), andrews_expr())
+    wrong = dataclasses.replace(cert, expr=parse(ANDREWS + " + floor(n/1000000000000)"))
+    assert soundness_probe(wrong, 500, 100000, seed=0)
+    assert not soundness_probe(wrong, 500, 10**30, seed=0)
+
+
 def test_soundness_probe_requires_certified():
     cert = certify(triangle_gf(), parse("floor(n/4)"))
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpcert import genfunc
+from qpcert.certify import probe_indices
 from qpcert.closedform import expr_values
 from qpcert.genfunc import EmptyParts, RationalGF
 from qpcert.polynomial import Poly, interpolate
@@ -191,3 +192,98 @@ def test_quasipoly_bounds_extrapolate():
 def test_coeffs_rejects_negative_upto():
     with pytest.raises(ValueError):
         triangle_gf().coeffs(-1)
+
+
+@st.composite
+def _gf_and_indices(draw):
+    """A RationalGF over 1-4 parts <= 8 and an index list for coeffs_at.
+
+    The numerator is zero, proper, improper or long; the indices come
+    unsorted, with duplicates, index 0 and an index below gf.onset()
+    mixed in, and their maximum falls below or above lcm(parts).
+    """
+    parts = draw(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4))
+    total = sum(parts)
+    length = draw(st.one_of(
+        st.just(0),                           # zero
+        st.integers(1, total),                # proper: degree < sum(parts)
+        st.integers(total + 1, total + 12),   # improper
+        st.integers(60, 150),                 # long
+    ))
+    num = draw(st.lists(st.integers(-9, 9), min_size=length, max_size=length))
+    gf = RationalGF(Poly(*num), parts)
+    lcm = gf.period_bound()
+    if draw(st.booleans()):
+        top = draw(st.integers(0, lcm - 1))
+    else:
+        top = draw(st.integers(lcm, max(lcm, 400)))
+    indices = draw(st.lists(st.integers(0, top), max_size=12)) + [top, 0]
+    if gf.onset() > 0:
+        indices.append(draw(st.integers(0, min(top, gf.onset() - 1))))
+    indices += draw(st.lists(st.sampled_from(indices), max_size=4))  # duplicates
+    return gf, num, draw(st.permutations(indices))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gf_and_indices())
+def test_coeffs_at_matches_truncated_series_oracle(case):
+    gf, num, indices = case
+    series = naive_series_coeffs(gf.parts, num, max(indices))
+    assert gf.coeffs_at(indices) == [series[n] for n in indices]
+
+
+# Every draw runs the lifted evaluator twice: at a multiple of lcm(parts),
+# where it expands the series only to the lifted numerator's degree, and
+# at an arbitrary lift, where it expands it to the largest index.
+@settings(max_examples=80, deadline=None)
+@given(_gf_and_indices(), st.integers(1, 4), st.integers(1, 450))
+def test_lifted_evaluator_exact_at_any_lift(case, multiple, lift):
+    gf, num, indices = case
+    series = naive_series_coeffs(gf.parts, num, max(indices))
+    expected = [series[n] for n in indices]
+    assert gf._coeffs_lifted(indices, multiple * gf.period_bound()) == expected
+    assert gf._coeffs_lifted(indices, lift) == expected
+
+
+def test_coeffs_at_empty_and_negative_indices():
+    assert triangle_gf().coeffs_at([]) == []
+    with pytest.raises(ValueError):
+        triangle_gf().coeffs_at([3, -1])
+
+
+def _lifts_and_expansions(monkeypatch, gf, indices):
+    """(lifts chosen, expansion lengths asked for) in one gf.coeffs_at call."""
+    lifts, uptos = [], []
+    lifted, coeffs = RationalGF._coeffs_lifted, RationalGF.coeffs
+    monkeypatch.setattr(RationalGF, "_coeffs_lifted",
+                        lambda self, i, lift: lifts.append(lift) or lifted(self, i, lift))
+    monkeypatch.setattr(RationalGF, "coeffs",
+                        lambda self, upto: uptos.append(upto) or coeffs(self, upto))
+    values = gf.coeffs_at(indices)
+    monkeypatch.undo()
+    series = gf.coeffs(max(indices))
+    assert values == [series[n] for n in indices]
+    return lifts, uptos
+
+
+def test_coeffs_at_lifts_the_triangle_denominator(monkeypatch):
+    # 500 probes to 10^5: R = q^3 (1 - q^12)^3 / ((1 - q^2)(1 - q^3)(1 - q^4))
+    # has degree 3 + 36 - 9 = 30, so each probe sums 3 terms of R
+    indices = probe_indices(0, 100000, 500, 0)
+    assert _lifts_and_expansions(monkeypatch, triangle_gf(), indices) == ([12], [30])
+
+
+def test_coeffs_at_reads_expansion_for_long_numerator(monkeypatch):
+    # 500 indices times 20000 terms of R each would outrun the expansion
+    gf = RationalGF(Poly(*range(1, 20001)), (1,))
+    indices = probe_indices(0, 100000, 500, 0)
+    top = max(indices)
+    assert _lifts_and_expansions(monkeypatch, gf, indices) == ([top + 1], [top])
+
+
+def test_coeffs_at_reads_expansion_when_lcm_exceeds_indices(monkeypatch):
+    # lcm(997, 1009) = 1005973 > 10^5, so R ends past every index
+    gf = RationalGF.from_parts((997, 1009))
+    indices = probe_indices(0, 100000, 500, 0)
+    top = max(indices)
+    assert _lifts_and_expansions(monkeypatch, gf, indices) == ([top + 1], [top])
