@@ -174,11 +174,15 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     theorem or expr_bounds.  True means every probe agreed; with a
     correct implementation this is a consequence of the certified
     theorem, so False indicates a bug (or a tampered certificate).
+    ValueError if cert is refuted, probes is negative or n_max is below
+    cert.onset, even when probes is 0.
     """
     if not cert.certified:
         raise ValueError("soundness_probe requires a Certified certificate")
     if probes < 0:
         raise ValueError("probes must be non-negative")
+    if n_max < cert.onset:
+        raise ValueError("n_max must be >= onset")
     if cert.window != _window(cert.onset, cert.degree_bound, cert.period):
         return False
     if probes == 0:

@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: coeffs, certify, triangles (count|list), fit, paper.
+Each call is parsed once, by its subcommand's own parser; a call that
+names no subcommand, or leaves arguments over, goes through the full
+parser, which prints its usage and errors.
 Every command renders one output document in text, json or csv form; all
 exact numbers are serialized as decimal integer strings or "p/q"
 fraction strings, never as floats, so documents diff cleanly across
@@ -251,7 +254,7 @@ def _certify_lines(cert, probe):
 def _cmd_certify(args) -> int:
     gf = _gf_from_args(args)
     onset = gf.onset() if args.onset is None else args.onset
-    if args.probe and onset > PROBE_N_MAX:
+    if args.probe is not None and onset > PROBE_N_MAX:
         raise ValueError(f"--probe draws indices from the onset up to {PROBE_N_MAX}, "
                          f"but the onset is {onset}; lower --onset or drop --probe")
     expr = parse(args.expr)
@@ -379,13 +382,23 @@ def _cmd_paper(args) -> int:
 # -- parser -------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qpcert argument parser, built on the first call and then reused.
 
     parse_args keeps no state between calls (each returns a new
     Namespace), so one parser serves every main() call in a process.
     Every caller gets the same object: do not modify it.
+    """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The qpcert parser and its command parsers, keyed by command words.
+
+    The keys are ("coeffs",), ("certify",), ("fit",), ("paper",),
+    ("triangles", "count") and ("triangles", "list"): each parser that
+    sets a handler, under the words that select it.
     """
     parser = argparse.ArgumentParser(
         prog="qpcert",
@@ -441,11 +454,31 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(p)
     p.set_defaults(handler=_cmd_paper)
 
-    return parser
+    commands = {(name,): p for name, p in sub.choices.items() if name != "triangles"}
+    commands.update({("triangles", name): p for name, p in tsub.choices.items()})
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one qpcert call on argv (default sys.argv[1:]); return its exit code.
+
+    A call that names a command (for triangles, also count or list) is
+    parsed once, by that command's own parser.  Every other call goes
+    through the full parser: no arguments, a first argument that is no
+    command (-h, --, an unknown name), or arguments the command's parser
+    leaves over, which the full parser reports as "qpcert: error:
+    unrecognized arguments" with its own usage line.
+    Either way the handler gets the same options, and a usage error or
+    help prints the same bytes, as with build_parser().parse_args(argv).
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    depth = 2 if argv[:1] == ["triangles"] else 1
+    command = commands.get(tuple(argv[:depth]))
+    if command is not None:
+        args, rest = command.parse_known_args(argv[depth:])
+    if command is None or rest:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

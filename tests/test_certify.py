@@ -197,6 +197,14 @@ def test_soundness_probe_vacuous_with_zero_probes():
     assert soundness_probe(cert, 0, 10, seed=0)
 
 
+@pytest.mark.parametrize("probes", [0, 5])
+def test_soundness_probe_rejects_n_max_below_onset(probes):
+    # no index lies in [onset, n_max]; zero probes must not read as agreement
+    cert = certify(triangle_gf(), andrews_expr(), onset_override=200)
+    with pytest.raises(ValueError):
+        soundness_probe(cert, probes, 100, seed=0)
+
+
 def test_soundness_probe_detects_tampered_period():
     cert = certify(triangle_gf(), andrews_expr())
     corrupted = dataclasses.replace(cert, period=cert.period // 2)

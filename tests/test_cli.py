@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpcert.cli import _json_dump, main
+from qpcert.cli import _json_dump, build_parser, main
 from qpcert.triangles import count_bruteforce
+
+from test_cli_golden import CASES, USAGE_ERRORS, _run
 
 ANDREWS = "round(n^2/12)-floor(n/4)*floor((n+2)/4)"
 
@@ -223,6 +225,19 @@ def test_certify_probe_rejects_onset_beyond_probe_limit(capsys, monkeypatch):
     assert "--onset" in err and "--probe" in err and "100000" in err
 
 
+def test_certify_zero_probes_reject_onset_beyond_probe_limit(capsys):
+    # --probe 0 once printed "0 probes up to n=100000 ...: agreed" for a
+    # range that lies below the onset
+    code, out, err = run(
+        capsys,
+        ["certify", "--parts", "2,3,4", "--shift", "3", "--expr", ANDREWS,
+         "--onset", "200000", "--probe", "0"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "--onset" in err and "--probe" in err and "100000" in err
+
+
 def _spawn(argv):
     """qpcert argv in a child interpreter, stdout and stderr piped back.
 
@@ -405,6 +420,62 @@ def test_unknown_subcommand_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+_CERTIFY_N = ["certify", "--parts", "2,3,4", "--shift", "3", "--expr", "n"]
+
+# the edges of main's dispatch: help, no command first, arguments left
+# over, and flag spellings that the full parser classifies itself before
+# it hands them to the command's parser
+DISPATCH_EDGES = {
+    "help": ["-h"],
+    "help-then-command": ["-h", "certify"],
+    "certify-help": ["certify", "-h"],
+    "certify-help-abbreviated": [*_CERTIFY_N, "--he"],
+    "triangles-help": ["triangles", "-h"],
+    "triangles-count-help": ["triangles", "count", "-h"],
+    "triangles-nosuch": ["triangles", "nosuch"],
+    "certify-stray": [*_CERTIFY_N, "stray"],
+    "triangles-count-stray": ["triangles", "count", "--perimeter", "5", "stray"],
+    "paper-stray": ["paper", "stray"],
+    "dashdash-then-command": ["--", *_CERTIFY_N],
+    "certify-dashdash-stray": [*_CERTIFY_N, "--", "stray"],
+    "abbreviated-flag": ["certify", "--par", "2,3,4", "--shift", "3", "--expr", "n"],
+    "num-equals-negative": ["certify", "--parts", "1", "--num=-1,2", "--expr", "n"],
+    "command-abbreviated": ["cert", "--parts", "2,3,4", "--shift", "3", "--expr", "n"],
+}
+
+DISPATCH_ARGV = (
+    [pytest.param(c["argv"], id=c["name"]) for c in CASES if c["stdin"] is None]
+    + [pytest.param(argv, id=f"usage-error-{i}") for i, argv in enumerate(USAGE_ERRORS)]
+    + [pytest.param(argv, id=name) for name, argv in DISPATCH_EDGES.items()]
+)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV)
+def test_dispatch_matches_full_parser(monkeypatch, argv):
+    # the reference is main with no command parsers to dispatch to: every
+    # call goes through build_parser().parse_args(argv), then the handler
+    # under main's exception mapping
+    dispatched = _run(monkeypatch, argv, None)
+    parser = build_parser()
+    monkeypatch.setattr("qpcert.cli._parsers", lambda: (parser, {}))
+    assert _run(monkeypatch, argv, None) == dispatched
+
+
+@pytest.mark.parametrize("argv", [
+    _CERTIFY_N,
+    ["triangles", "count", "--perimeter", "12"],
+    ["paper", "--format", "csv"],
+])
+def test_command_call_skips_full_parser(capsys, monkeypatch, argv):
+    def unused(*args, **kwargs):
+        raise AssertionError("the full parser parsed a command call")
+
+    monkeypatch.setattr(build_parser(), "parse_args", unused)
+    monkeypatch.setattr(build_parser(), "parse_known_args", unused)
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().out
 
 
 # strings heavy in what json escapes: quotes, backslashes, control

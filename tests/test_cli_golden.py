@@ -49,6 +49,9 @@ USAGE_ERRORS = [
     ["fit", "--stdin", "--dmax", "1", "--lmax", "0"],
     # Arabic-Indic 12, which int() would read as 12
     ["triangles", "count", "--perimeter", "\u0661\u0662"],
+    # arguments the command's parser leaves over: the full parser reports them
+    ["certify", "--parts", "2,3,4", "--shift", "3", "--expr", "n", "stray"],
+    ["triangles", "count", "--perimeter", "5", "stray"],
 ]
 
 
