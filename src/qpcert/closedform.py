@@ -24,8 +24,9 @@ that support them:
   the quasi-polynomial that every well-formed expression is.
 
 expr_bounds gets a degree bound and a period of that quasi-polynomial
-without building it: a fold over the AST that reads each floor's period
-off its operand's integer values mod the divisor.
+without building it: a fold over the AST that reads each floor's or
+round's period off its operand's integer values mod the divisor, one
+expr_values pass per round of tests over the divisor's primes.
 
 >>> e = parse("round(n^2/12)")
 >>> [expr_eval(e, n) for n in range(8)]
@@ -45,7 +46,7 @@ import math
 import operator
 import string
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .polynomial import Poly
 from .quasipoly import QuasiPoly
@@ -294,7 +295,9 @@ def _interpret(e: Expr, n):
     """Value of e with n bound to an int, a _Column or a QuasiPoly.
 
     Floor is //, which divides toward -inf; round is nearest with ties
-    half-up, computed as (2v + m) // (2m) so no floats are involved.
+    half-up, computed as (v + m//2) // m so no floats are involved.  That
+    is (2v + m) // (2m) for every int v: for odd m = 2h + 1 write
+    v + h = q*m + r with 0 <= r < m, so (2v + m)/(2m) = q + (2r + 1)/(2m).
     """
     if isinstance(e, Const):
         return e.value
@@ -313,7 +316,7 @@ def _interpret(e: Expr, n):
     if isinstance(e, Floor):
         return _interpret(e.operand, n) // e.divisor
     if isinstance(e, Round):
-        return (2 * _interpret(e.operand, n) + e.divisor) // (2 * e.divisor)
+        return (_interpret(e.operand, n) + e.divisor // 2) // e.divisor
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -412,8 +415,10 @@ def expr_bounds(e: Expr) -> tuple[int, int]:
     most the degree bound.  The bounds are folded over the AST: a
     constant is (0, 1) and n is (1, 1); + and - take the larger degree,
     * the sum and ^ k k times it, each the lcm of the periods.  A floor
-    refines the period from its operand's values (see _floor_period), and
-    round(X/m) is floor((2X + m)/(2m)), as in _interpret.
+    refines the period from its operand's values (see _floor_period).
+    round(X/m) is floor((X + m//2)/m), as in _interpret, and adding a
+    constant to X changes no period of X mod m, so a round is searched
+    like a floor of X itself.
 
     Only integers are computed, unlike expr_to_qp's exact quasi-polynomial.
     Where terms cancel the bounds overshoot the exact degree and period
@@ -432,11 +437,9 @@ def expr_bounds(e: Expr) -> tuple[int, int]:
     if isinstance(e, Pow):
         d, p = expr_bounds(e.base)
         return d * e.exponent, p
-    if isinstance(e, Floor):
+    if isinstance(e, _Division):
         d, p = expr_bounds(e.operand)
         return d, p * _floor_period(e.operand, d, p, e.divisor)
-    if isinstance(e, Round):
-        return expr_bounds(Floor(Add(Mul(Const(2), e.operand), Const(e.divisor)), 2 * e.divisor))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -448,25 +451,34 @@ def _floor_period(x: Expr, d: int, p: int, m: int) -> int:
     is one of degree < d.  Its binomial coefficients are integer
     combinations of g(0), ..., g(d-1), so g is 0 mod m everywhere iff it
     is at k < d: p*T is a period of x mod m iff x(n + p*T) = x(n) mod m
-    for n in [0, d*p), one expr_values pass over every class at once.
+    for n in [0, d*p), a block of d*p values over every class at once.
+    With d = 0, x is constant on each class and T is 1.
 
     For each prime power q^e of m, q^(e+s) with s = floor(log_q d) is
     such a T for x mod q^e: C(q^N, l) has at least N - s factors q for
     l <= d, so C(k + q^N, i) - C(k, i) = sum_l C(k, i-l)*C(q^N, l) is a
     multiple of q^e.  Their product, the part of m*lcm(1..d) made of m's
-    primes, is a T for x mod m, so the least T divides it.  Periods are
-    closed under gcd, so dividing out one prime of m at a time while the
-    test passes ends at the least T (but see _prime_factors).
+    primes, is a T for x mod m, so the least T divides it.
+
+    Periods are the multiples of the least one, so for a T that the least
+    T0 divides, T/q is a T iff q divides T/T0: one test per prime, which
+    does not depend on the other primes' powers in T.  The primes are
+    therefore tested in rounds, all at the current T in one expr_values
+    pass over the joined blocks at p*(T/q), the first round also over
+    the base block at 0: at most 1 + omega(m) blocks a pass.  A prime
+    whose block matches the base divides T out once and stays for the
+    next round while it still divides T; one whose block differs is done.
+    The rounds end at the T that testing one prime at a time ends at, the
+    least one (but see _prime_factors), and the passes fall from 1 + the
+    sum of the primes' test counts to 1 + the largest of them.
 
     An x with no floor or round in it (so p = 1) is a polynomial with
     integer coefficients, so x(n + m) = x(n) mod m and the search starts
     from T = m instead: far fewer, smaller values when d is large.  p = 1
     alone is not enough: floor((n^2 - n)/2) has p = 1 but period 4 mod 2.
     """
-    def residues(start):
-        return [v % m for v in expr_values(x, range(start, start + d * p))]
-
-    base = residues(0)
+    if d == 0:
+        return 1
     if _has_division(x):
         t = coprime = m * math.lcm(*range(1, d + 1))
         while (g := math.gcd(coprime, m)) > 1:
@@ -474,9 +486,20 @@ def _floor_period(x: Expr, d: int, p: int, m: int) -> int:
         t //= coprime
     else:
         t = m
-    for q in _prime_factors(m):
-        while t % q == 0 and residues(p * (t // q)) == base:
+    span = d * p
+    base = None
+    pending = _prime_factors(m)
+    while pending:
+        blocks = [range(s, s + span) for s in (p * (t // q) for q in pending)]
+        if base is None:
+            blocks.insert(0, range(span))
+        res = [v % m for v in expr_values(x, chain.from_iterable(blocks))]
+        if base is None:
+            base, res = res[:span], res[span:]
+        passed = [q for i, q in enumerate(pending) if res[i * span:(i + 1) * span] == base]
+        for q in passed:
             t //= q
+        pending = [q for q in passed if t % q == 0]
     return t
 
 

@@ -13,14 +13,22 @@ model's value with a sample through QuasiPoly.__call__, a Fraction,
 where fit_quasipoly reads degrees off integer difference tables.
 grid_fit is the exhaustive (period, degree) search that fit_quasipoly's
 difference tables replace: it builds every candidate model and tests
-each held-out sample with fraction_agrees.
+each held-out sample with fraction_agrees.  reference_expr_bounds is the
+bounds fold with the plain period search: one expr_values pass per
+prime test, one prime of the divisor at a time, and round(X/m) folded
+as floor((2X + m)/(2m)), where expr_bounds tests all primes in rounds
+and searches a round from X mod m; it shares expr_values and the prime
+list with expr_bounds, not the search.  alcuin_count counts triangles by
+perimeter with the parity form, without Andrews's formula or a loop.
 """
 
 import math
 from fractions import Fraction
 
 from qpcert.certify import FitResult, _fit_residues
-from qpcert.closedform import Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var
+from qpcert.closedform import (
+    Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, _has_division, _prime_factors, expr_values,
+)
 
 
 def naive_triangle_count(n: int) -> int:
@@ -32,6 +40,16 @@ def naive_triangle_count(n: int) -> int:
                 if x + y + z == n and y + z > x:
                     count += 1
     return count
+
+
+def alcuin_count(n: int) -> int:
+    """Triangles of perimeter n >= 0 by the parity form of Alcuin's sequence.
+
+    (n^2 + 24) // 48 for even n and ((n + 3)^2 + 24) // 48 for odd n,
+    i.e. the nearest integer to n^2/48 or (n + 3)^2/48.
+    """
+    k = n if n % 2 == 0 else n + 3
+    return (k * k + 24) // 48
 
 
 def naive_series_coeffs(parts, num_coeffs, upto: int) -> list[int]:
@@ -79,6 +97,53 @@ def oracle_eval(expr, n: int) -> int:
     v = walk(expr)
     assert v.denominator == 1
     return int(v)
+
+
+def reference_expr_bounds(e) -> tuple:
+    """(degree bound, period bound) of e, one prime test per expr_values pass.
+
+    The same fold as expr_bounds, but a round(X/m) is bounded as
+    floor((2X + m)/(2m)), and each floor's period search divides the
+    start value by one prime of the divisor at a time, each test its own
+    pass over a block of d*p values against the base block at 0.
+    """
+    if isinstance(e, Const):
+        return 0, 1
+    if isinstance(e, Var):
+        return 1, 1
+    if isinstance(e, Neg):
+        return reference_expr_bounds(e.operand)
+    if isinstance(e, (Add, Sub, Mul)):
+        (d1, p1), (d2, p2) = reference_expr_bounds(e.left), reference_expr_bounds(e.right)
+        return (d1 + d2 if isinstance(e, Mul) else max(d1, d2)), math.lcm(p1, p2)
+    if isinstance(e, Pow):
+        d, p = reference_expr_bounds(e.base)
+        return d * e.exponent, p
+    if isinstance(e, Floor):
+        d, p = reference_expr_bounds(e.operand)
+        return d, p * _reference_floor_period(e.operand, d, p, e.divisor)
+    if isinstance(e, Round):
+        m = e.divisor
+        return reference_expr_bounds(Floor(Add(Mul(Const(2), e.operand), Const(m)), 2 * m))
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
+def _reference_floor_period(x, d: int, p: int, m: int) -> int:
+    def residues(start):
+        return [v % m for v in expr_values(x, range(start, start + d * p))]
+
+    base = residues(0)
+    if _has_division(x):
+        t = coprime = m * math.lcm(*range(1, d + 1))
+        while (g := math.gcd(coprime, m)) > 1:
+            coprime //= g
+        t //= coprime
+    else:
+        t = m
+    for q in _prime_factors(m):
+        while t % q == 0 and residues(p * (t // q)) == base:
+            t //= q
+    return t
 
 
 def scan_first_mismatch(coeffs, expr, window):

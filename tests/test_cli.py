@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qpcert.cli import _json_dump, build_parser, main
 from qpcert.triangles import count_bruteforce
 
+from oracles import alcuin_count
 from test_cli_golden import CASES, USAGE_ERRORS, _run
 
 ANDREWS = "round(n^2/12)-floor(n/4)*floor((n+2)/4)"
@@ -274,6 +275,19 @@ def test_triangles_count(capsys):
     code, out, _ = run(capsys, ["triangles", "count", "--perimeter", "12"])
     assert code == 0
     assert out == "3\n"
+
+
+def test_triangles_count_matches_bruteforce(capsys):
+    for n in range(401):
+        code, out, _ = run(capsys, ["triangles", "count", "--perimeter", str(n)])
+        assert (code, out) == (0, f"{count_bruteforce(n)}\n"), n
+
+
+@pytest.mark.parametrize("n", [10**12, 10**12 + 1])
+def test_triangles_count_huge_perimeter(capsys, n):
+    # far past any loop: about 1.7e11 longest sides to enumerate
+    code, out, _ = run(capsys, ["triangles", "count", "--perimeter", str(n)])
+    assert (code, out) == (0, f"{alcuin_count(n)}\n")
 
 
 def test_triangles_count_degenerate(capsys):

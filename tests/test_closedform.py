@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qpcert.closedform
 from qpcert.closedform import (
     Add,
     Const,
@@ -26,7 +27,7 @@ from qpcert.closedform import (
 from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 
-from oracles import oracle_eval
+from oracles import oracle_eval, reference_expr_bounds
 
 ANDREWS = "round(n^2/12) - floor(n/4)*floor((n+2)/4)"
 
@@ -211,7 +212,7 @@ def test_round_trip_battery(text):
 
 
 # random ASTs shaped like what parse can produce (non-negative literals)
-def _exprs():
+def _exprs(divisors=st.integers(1, 6), max_leaves=6):
     leaves = st.one_of(
         st.integers(min_value=0, max_value=9).map(Const),
         st.just(Var()),
@@ -224,11 +225,11 @@ def _exprs():
             st.tuples(children, children).map(lambda ab: Mul(*ab)),
             children.map(Neg),
             st.tuples(children, st.integers(1, 3)).map(lambda bk: Pow(*bk)),
-            st.tuples(children, st.integers(1, 6)).map(lambda am: Floor(*am)),
-            st.tuples(children, st.integers(1, 6)).map(lambda am: Round(*am)),
+            st.tuples(children, divisors).map(lambda am: Floor(*am)),
+            st.tuples(children, divisors).map(lambda am: Round(*am)),
         )
 
-    return st.recursive(leaves, extend, max_leaves=6)
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 @settings(max_examples=120, deadline=None)
@@ -267,9 +268,47 @@ def test_conversion_soundness_random(e):
     ("floor(n^1000/12)", (1000, 6)),
     # p = 1 with a floor inside: n(n-1)/2 mod 2 has period 4, not 2
     ("floor(floor((n^2-n)/2)/2)", (2, 4)),
+    # round(X/1) is X; a constant operand (d = 0) has period 1
+    ("round(n/1)", (1, 1)),
+    ("floor(7/3)", (0, 1)),
+    # rounds of a negative operand, odd and even divisor
+    ("round((-n^2 - 5)/7)", (2, 7)),
+    ("round((-n^2 - 5)/8)", (2, 4)),
+    ("round(-floor(n/3)^2/10)", (2, 30)),
 ])
 def test_expr_bounds_fixed_cases(text, bounds):
     assert expr_bounds(parse(text)) == bounds
+
+
+# divisors with many, repeated and large prime factors, for the period search
+WIDE_DIVISORS = st.sampled_from([*range(1, 13), 16, 24, 48, 60, 64, 243, 1000])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs(WIDE_DIVISORS, max_leaves=4))
+def test_expr_bounds_match_reference(e):
+    # the prime-at-a-time search with round folded to floor((2X + m)/(2m))
+    assert expr_bounds(e) == reference_expr_bounds(e)
+
+
+@pytest.mark.parametrize("text, walks", [
+    ("floor(n/48)", 1),
+    (ANDREWS, 4),
+    ("floor(floor(n/100003)/7)", 2),
+])
+def test_expr_bounds_walk_count(monkeypatch, text, walks):
+    # one expr_values pass per round of prime tests, the base block riding
+    # in the first: 1 + the most tests any one prime takes
+    calls = []
+    values = qpcert.closedform.expr_values
+
+    def counted(e, ns):
+        calls.append(e)
+        return values(e, ns)
+
+    monkeypatch.setattr(qpcert.closedform, "expr_values", counted)
+    expr_bounds(parse(text))
+    assert len(calls) == walks
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,10 +330,12 @@ def test_expr_values_match_expr_eval(e, start, length):
     assert expr_values(e, ns) == [expr_eval(e, n) for n in ns]
 
 
-@settings(max_examples=150, deadline=None)
-@given(_exprs(), st.integers(min_value=-60, max_value=60), st.integers(min_value=0, max_value=40))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_exprs(), _exprs(WIDE_DIVISORS, max_leaves=4)),
+       st.integers(min_value=-60, max_value=60), st.integers(min_value=0, max_value=40))
 def test_expr_values_match_fraction_oracle(e, start, length):
-    # the oracle rounds exact Fractions, not the interpreter's integer //
+    # the oracle rounds exact Fractions, not the interpreter's integer //:
+    # floor(X/m) is X // m and round(X/m) is (X + m//2) // m
     ns = range(start, start + length)
     assert expr_values(e, ns) == [oracle_eval(e, n) for n in ns]
 

@@ -15,7 +15,7 @@ from qpcert.triangles import (
     triangle_to_param,
 )
 
-from oracles import ALCUIN_PREFIX, naive_triangle_count
+from oracles import ALCUIN_PREFIX, alcuin_count, naive_triangle_count
 
 
 def test_counts_small_cases():
@@ -23,6 +23,10 @@ def test_counts_small_cases():
     assert count_bruteforce(4) == 0
     assert count_bruteforce(12) == 3
     assert [count_bruteforce(n) for n in range(13)] == ALCUIN_PREFIX
+
+
+def test_alcuin_parity_form_matches_naive_count():
+    assert [alcuin_count(n) for n in range(61)] == [naive_triangle_count(n) for n in range(61)]
 
 
 def test_counts_degenerate_perimeters():
