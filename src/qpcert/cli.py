@@ -7,12 +7,16 @@ parser, which prints its usage and errors.
 Every command renders one output document in text, json or csv form; all
 exact numbers are serialized as decimal integer strings or "p/q"
 fraction strings, never as floats, so documents diff cleanly across
-platforms.  The json form is byte-identical to
-json.dumps(doc, indent=2, sort_keys=True) followed by a newline: the
-same ASCII escapes, key order and indentation, written by a small
-writer that accepts only the types a document holds.  Integer flags and
-fit's values are ASCII, in any spelling int() reads (' 1', '+0', '00',
-'-0'); a blank list field is an error.  Exit codes: 0
+platforms.  Integer lists (coefficients, part sizes, numerators, the
+paper's two columns, triangle sides) and the coeffs, paper and
+triangles list tables are printed in one %-format pass over their ints,
+with no str object per number; only exact ints are printed.  The json
+form is byte-identical to json.dumps(doc, indent=2, sort_keys=True)
+followed by a newline: the same ASCII escapes, key order and
+indentation, written by a small writer that accepts only the types a
+document holds.  Integer flags and fit's values are ASCII, in any
+spelling int() reads (' 1', '+0', '00', '-0'); a blank list field is an
+error.  Exit codes: 0
 success/certified, 1 refuted (or a failed 37-term check), 2 usage or
 parse errors, an expression nested too deeply, an index or size too
 large to allocate, or running out of memory.  A stdout closed by its
@@ -107,9 +111,9 @@ def _gf_from_args(args) -> RationalGF:
 
 def _gf_inputs(args, **extra) -> dict:
     return {
-        "parts": list(map(str, args.parts)),
+        "parts": _Ints(args.parts),
         "shift": None if args.shift is None else str(args.shift),
-        "numerator": None if args.num is None else list(map(str, args.num)),
+        "numerator": None if args.num is None else _Ints(args.num),
         **extra,
     }
 
@@ -117,19 +121,72 @@ def _gf_inputs(args, **extra) -> dict:
 # -- rendering ----------------------------------------------------------
 
 
+class _Ints(tuple):
+    """Integers that a document lists, printed as decimal strings.
+
+    All three forms write them with _join_ints, in one %-format pass and
+    with no str object per number: json as a list of strings, csv as one
+    space-separated field, and a command's text joined by a space.
+    """
+
+    __slots__ = ()
+
+
+def _check_ints(values) -> None:
+    """Raise TypeError unless every value is exactly an int.
+
+    %d would print True as 1 and 1.5 as 1.
+    """
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise TypeError(f"a document lists no {type(bad).__name__} as an integer")
+
+
+def _join_ints(values, sep: str) -> str:
+    """The decimal strings of the ints in values joined by sep, in one %-format pass.
+
+    sep holds no %.  Only exact ints are accepted (_check_ints).  An int
+    longer than sys.get_int_max_str_digits() raises the ValueError that
+    str() raises.
+    """
+    if not values:
+        return ""
+    _check_ints(values)
+    fmt = "%d" + (sep + "%d") * (len(values) - 1)
+    return fmt % (values if isinstance(values, tuple) else tuple(values))
+
+
+def _table(head: str, row: str, columns) -> str:
+    """head, then row filled from each column's i-th int for every i, in one pass.
+
+    The columns are int sequences of one length, and row has one %d field
+    per column; neither head nor row holds another %.
+    """
+    k = len(columns)
+    flat = [0] * (k * len(columns[0]))
+    for i, column in enumerate(columns):
+        if type(column) is not range:  # a range holds only ints
+            _check_ints(column)
+        flat[i::k] = column
+    return (head + row * len(columns[0])) % tuple(flat)
+
+
 def _render(fmt: str, doc, rows, lines):
     """Write doc() as json, rows as csv, or lines as text, in one write.
 
-    doc is a zero-argument function returning the json document, and rows
-    and lines are iterables; each is consumed only for the chosen format,
-    so neither the document's inputs nor a long coefficient dump is built
-    in the forms not printed.  The json form is exactly the bytes of
-    json.dumps(doc(), indent=2, sort_keys=True) plus a newline, written
-    by _json_dump.  A csv row is its fields joined by "," with no
-    quoting: every field is a decimal integer or "p/q" string, a
-    space-separated list of those, a fixed word or dotted key, or empty,
-    so none holds a comma, a double quote, a carriage return or a newline,
-    and no row is one empty field: csv would quote none of them.
+    doc is a zero-argument function returning the json document.  rows
+    and lines are each an iterable (of csv rows, each a list of fields,
+    or of text lines) or a zero-argument function returning the whole
+    csv or text body, final newline included.  Only the chosen format's
+    argument is consumed or called, so neither the document's inputs
+    nor a long coefficient dump is built in the forms not printed.  The
+    json form is exactly the bytes of json.dumps(doc(), indent=2,
+    sort_keys=True) plus a newline, written by _json_dump.  A csv row is
+    its fields joined by "," with no quoting: every field is a decimal
+    integer or "p/q" string, a space-separated list of those, a fixed
+    word or dotted key, or empty, so none holds a comma, a double quote,
+    a carriage return or a newline, and no row is one empty field: csv
+    would quote none of them.
 
     A reader that closes the pipe early (``qpcert coeffs ... | head``)
     ends the output, not the command: stdout is pointed at os.devnull so
@@ -141,9 +198,9 @@ def _render(fmt: str, doc, rows, lines):
         out.append("\n")
         text = "".join(out)
     elif fmt == "csv":
-        text = "\n".join(chain(map(",".join, rows), [""]))
+        text = rows() if callable(rows) else "\n".join(chain(map(",".join, rows), [""]))
     else:
-        text = "\n".join(chain(lines, [""]))
+        text = lines() if callable(lines) else "\n".join(chain(lines, [""]))
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -157,16 +214,20 @@ def _json_dump(value, out: list, indent: str = "\n") -> None:
     """Append the pieces of json.dumps(value, indent=2, sort_keys=True) to out.
 
     Only the types documents hold are accepted: dicts with str keys,
-    lists, str, bool and None; anything else raises TypeError.  A list
-    whose first element is a str is a list of strings: it is encoded with
-    one map and one join, so a non-str element in it raises TypeError
-    instead of being rendered.
+    lists, _Ints, str, bool and None; anything else raises TypeError.
+    An _Ints is written as the list of its decimal strings, in one
+    _join_ints pass.  A list whose first element is a str is a list of
+    strings: it is encoded with one map and one join, so a non-str
+    element in it raises TypeError instead of being rendered.
     """
     if isinstance(value, str):
         out.append(_json_str(value))
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
-    elif not isinstance(value, (dict, list)):
+    elif isinstance(value, _Ints) and value:
+        inner = indent + "  "
+        out += ("[", inner, '"', _join_ints(value, '",' + inner + '"'), '"', indent, "]")
+    elif not isinstance(value, (dict, list, _Ints)):
         raise TypeError(f"a document holds no {type(value).__name__}")
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
@@ -197,8 +258,10 @@ def _csv_fields(result: dict):
         if isinstance(value, dict):
             for k, v in value.items():
                 yield from walk(f"{prefix}.{k}" if prefix else k, v)
+        elif isinstance(value, _Ints):
+            yield [prefix, _join_ints(value, " ")]
         elif isinstance(value, list):
-            yield [prefix, " ".join(map(str, value))]
+            yield [prefix, " ".join(value)]
         elif isinstance(value, bool):
             yield [prefix, "true" if value else "false"]
         elif value is None:
@@ -223,13 +286,12 @@ def _document(command: str, inputs: dict, result: dict) -> dict:
 
 def _cmd_coeffs(args) -> int:
     gf = _gf_from_args(args)
-    coeffs = list(map(str, gf.coeffs(args.upto)))
-    rows = chain([["n", "coefficient"]], zip(map(str, range(len(coeffs))), coeffs))
-    # map() keeps the single text line lazy like the csv rows
+    coeffs = gf.coeffs(args.upto)
     _render(args.format,
             lambda: _document("coeffs", _gf_inputs(args, upto=str(args.upto)),
-                              {"coefficients": coeffs}),
-            rows, map(" ".join, [coeffs]))
+                              {"coefficients": _Ints(coeffs)}),
+            lambda: _table("n,coefficient\n", "%d,%d\n", (range(len(coeffs)), coeffs)),
+            lambda: _join_ints(coeffs, " ") + "\n")
     return 0
 
 
@@ -309,11 +371,13 @@ def _cmd_triangles_count(args) -> int:
 
 def _cmd_triangles_list(args) -> int:
     tris = list_triangles(args.perimeter)
-    sides = [[str(t.x), str(t.y), str(t.z)] for t in tris]
+    sides = ([t.x for t in tris], [t.y for t in tris], [t.z for t in tris])
     _render(args.format,
             lambda: _document("triangles list", {"perimeter": str(args.perimeter)},
-                              {"count": str(len(tris)), "triangles": sides}),
-            chain([["x", "y", "z"]], sides), (f"({','.join(s)})" for s in sides))
+                              {"count": str(len(tris)),
+                               "triangles": list(map(_Ints, zip(*sides)))}),
+            lambda: _table("x,y,z\n", "%d,%d,%d\n", sides),
+            lambda: _table("", "(%d,%d,%d)\n", sides))
     return 0
 
 
@@ -367,17 +431,15 @@ def _cmd_paper(args) -> int:
     equal = coeffs == formula
     result = {
         "upto": "36",
-        "coefficients": [str(c) for c in coeffs],
-        "formula": [str(v) for v in formula],
+        "coefficients": _Ints(coeffs),
+        "formula": _Ints(formula),
         "equal": equal,
     }
-    table = list(enumerate(zip(coeffs, formula)))
-    rows = chain([["n", "coefficient", "formula"]],
-                 ([str(n), str(c), str(v)] for n, (c, v) in table))
-    lines = chain([" n  coefficient  formula"],
-                  (f"{n:2d}  {c:11d}  {v:7d}" for n, (c, v) in table),
-                  ["true" if equal else "false"])
-    _render(args.format, lambda: _document("paper", {}, result), rows, lines)
+    columns = (range(len(coeffs)), coeffs, formula)
+    _render(args.format, lambda: _document("paper", {}, result),
+            lambda: _table("n,coefficient,formula\n", "%d,%d,%d\n", columns),
+            lambda: _table(" n  coefficient  formula\n", "%2d  %11d  %7d\n", columns)
+            + ("true\n" if equal else "false\n"))
     return 0 if equal else 1
 
 
