@@ -4,19 +4,20 @@ Subcommands: coeffs, certify, triangles (count|list), fit, paper.
 Each call is parsed once, by its subcommand's own parser; a call that
 names no subcommand, or leaves arguments over, goes through the full
 parser, which prints its usage and errors.
-Every command renders one output document in text, json or csv form; all
-exact numbers are serialized as decimal integer strings or "p/q"
-fraction strings, never as floats, so documents diff cleanly across
+Every command renders one output document in text, json or csv form.  A
+document holds ints, int lists, strs, bools and None as they are; the
+writers print every int as its decimal string and every fraction is a
+"p/q" string, never a float, so documents diff cleanly across
 platforms.  Integer lists (coefficients, part sizes, numerators, the
 paper's two columns, triangle sides) and the coeffs, paper and
 triangles list tables are printed in one %-format pass over their ints,
 with no str object per number; only exact ints are printed.  The json
 form is byte-identical to json.dumps(doc, indent=2, sort_keys=True)
-followed by a newline: the same ASCII escapes, key order and
-indentation, written by a small writer that accepts only the types a
-document holds.  Integer flags and fit's values are ASCII, in any
-spelling int() reads (' 1', '+0', '00', '-0'); a blank list field is an
-error.  Exit codes: 0
+followed by a newline, with each int in doc replaced by its decimal
+string: the same ASCII escapes, key order and indentation, written by a
+small writer that accepts only the types a document holds.  Integer
+flags and fit's values are ASCII, in any spelling int() reads (' 1',
+'+0', '00', '-0'); a blank list field is an error.  Exit codes: 0
 success/certified, 1 refuted (or a failed 37-term check), 2 usage or
 parse errors, an expression nested too deeply, an index or size too
 large to allocate, or running out of memory.  A stdout closed by its
@@ -31,7 +32,6 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 from .certify import certify, fit_quasipoly, soundness_probe
@@ -111,25 +111,14 @@ def _gf_from_args(args) -> RationalGF:
 
 def _gf_inputs(args, **extra) -> dict:
     return {
-        "parts": _Ints(args.parts),
-        "shift": None if args.shift is None else str(args.shift),
-        "numerator": None if args.num is None else _Ints(args.num),
+        "parts": args.parts,
+        "shift": args.shift,
+        "numerator": args.num,
         **extra,
     }
 
 
 # -- rendering ----------------------------------------------------------
-
-
-class _Ints(tuple):
-    """Integers that a document lists, printed as decimal strings.
-
-    All three forms write them with _join_ints, in one %-format pass and
-    with no str object per number: json as a list of strings, csv as one
-    space-separated field, and a command's text joined by a space.
-    """
-
-    __slots__ = ()
 
 
 def _check_ints(values) -> None:
@@ -171,22 +160,16 @@ def _table(head: str, row: str, columns) -> str:
     return (head + row * len(columns[0])) % tuple(flat)
 
 
-def _render(fmt: str, doc, rows, lines):
-    """Write doc() as json, rows as csv, or lines as text, in one write.
+def _render(fmt: str, doc, csv, text):
+    """Write doc() as json, csv() or text(), in one write.
 
-    doc is a zero-argument function returning the json document.  rows
-    and lines are each an iterable (of csv rows, each a list of fields,
-    or of text lines) or a zero-argument function returning the whole
-    csv or text body, final newline included.  Only the chosen format's
-    argument is consumed or called, so neither the document's inputs
-    nor a long coefficient dump is built in the forms not printed.  The
-    json form is exactly the bytes of json.dumps(doc(), indent=2,
-    sort_keys=True) plus a newline, written by _json_dump.  A csv row is
-    its fields joined by "," with no quoting: every field is a decimal
-    integer or "p/q" string, a space-separated list of those, a fixed
-    word or dotted key, or empty, so none holds a comma, a double quote,
-    a carriage return or a newline, and no row is one empty field: csv
-    would quote none of them.
+    doc, csv and text are zero-argument functions: doc returns the
+    document, csv and text the whole csv or text body, final newline
+    included.  Only the chosen format's function is called, so neither
+    the document's inputs nor a long coefficient dump is built in the
+    forms not printed.  The json form is exactly the bytes of
+    json.dumps(doc(), indent=2, sort_keys=True) plus a newline, with
+    every int in the document written as its decimal string (_json_dump).
 
     A reader that closes the pipe early (``qpcert coeffs ... | head``)
     ends the output, not the command: stdout is pointed at os.devnull so
@@ -196,13 +179,11 @@ def _render(fmt: str, doc, rows, lines):
         out = []
         _json_dump(doc(), out)
         out.append("\n")
-        text = "".join(out)
-    elif fmt == "csv":
-        text = rows() if callable(rows) else "\n".join(chain(map(",".join, rows), [""]))
+        body = "".join(out)
     else:
-        text = lines() if callable(lines) else "\n".join(chain(lines, [""]))
+        body = csv() if fmt == "csv" else text()
     try:
-        sys.stdout.write(text)
+        sys.stdout.write(body)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -213,21 +194,21 @@ def _render(fmt: str, doc, rows, lines):
 def _json_dump(value, out: list, indent: str = "\n") -> None:
     """Append the pieces of json.dumps(value, indent=2, sort_keys=True) to out.
 
-    Only the types documents hold are accepted: dicts with str keys,
-    lists, _Ints, str, bool and None; anything else raises TypeError.
-    An _Ints is written as the list of its decimal strings, in one
-    _join_ints pass.  A list whose first element is a str is a list of
-    strings: it is encoded with one map and one join, so a non-str
-    element in it raises TypeError instead of being rendered.
+    Every int in value is written as its decimal string.  Only the types
+    documents hold are accepted: dicts with str keys, lists, str, int,
+    bool and None; anything else, an int subclass other than bool
+    included, raises TypeError.  A list whose first element is a str is a
+    list of strings, and one led by an int a list of ints: each is
+    encoded in one pass (a map and a join, or _join_ints), so an element
+    of another type in it raises TypeError instead of being rendered.
     """
     if isinstance(value, str):
         out.append(_json_str(value))
+    elif type(value) is int:
+        out.append('"%d"' % value)
     elif value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
-    elif isinstance(value, _Ints) and value:
-        inner = indent + "  "
-        out += ("[", inner, '"', _join_ints(value, '",' + inner + '"'), '"', indent, "]")
-    elif not isinstance(value, (dict, list, _Ints)):
+    elif not isinstance(value, (dict, list)):
         raise TypeError(f"a document holds no {type(value).__name__}")
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
@@ -241,6 +222,9 @@ def _json_dump(value, out: list, indent: str = "\n") -> None:
     elif isinstance(value[0], str):
         inner = indent + "  "
         out += ("[", inner, ("," + inner).join(map(_json_str, value)), indent, "]")
+    elif type(value[0]) is int:
+        inner = indent + "  "
+        out += ("[", inner, '"', _join_ints(value, '",' + inner + '"'), '"', indent, "]")
     else:
         inner, sep = indent + "  ", "["
         for item in value:
@@ -250,26 +234,31 @@ def _json_dump(value, out: list, indent: str = "\n") -> None:
         out += (indent, "]")
 
 
-def _csv_fields(result: dict):
-    """(field, value) rows for the nested result dict, header first."""
-    yield ["field", "value"]
+def _csv_fields(result: dict) -> str:
+    """The csv body of the nested result dict, final newline included.
 
+    A field,value header, then one row per leaf: its dotted key, and an
+    int's decimal string, a str, an int or str list joined by spaces,
+    true or false, or empty for None.  Rows are not quoted: every key
+    and word is fixed and every other str a decimal integer or "p/q"
+    string, so no field holds a comma, a double quote, a carriage return
+    or a newline, and no row is one empty field: csv would quote none of
+    them.
+    """
     def walk(prefix, value):
         if isinstance(value, dict):
             for k, v in value.items():
                 yield from walk(f"{prefix}.{k}" if prefix else k, v)
-        elif isinstance(value, _Ints):
-            yield [prefix, _join_ints(value, " ")]
+        elif value and isinstance(value, list) and isinstance(value[0], str):
+            yield f"{prefix},{' '.join(value)}"
         elif isinstance(value, list):
-            yield [prefix, " ".join(value)]
+            yield f"{prefix},{_join_ints(value, ' ')}"
         elif isinstance(value, bool):
-            yield [prefix, "true" if value else "false"]
-        elif value is None:
-            yield [prefix, ""]
+            yield f"{prefix},{'true' if value else 'false'}"
         else:
-            yield [prefix, str(value)]
+            yield f"{prefix},{'' if value is None else value}"
 
-    yield from walk("", result)
+    return "\n".join(["field,value", *walk("", result), ""])
 
 
 def _document(command: str, inputs: dict, result: dict) -> dict:
@@ -288,8 +277,8 @@ def _cmd_coeffs(args) -> int:
     gf = _gf_from_args(args)
     coeffs = gf.coeffs(args.upto)
     _render(args.format,
-            lambda: _document("coeffs", _gf_inputs(args, upto=str(args.upto)),
-                              {"coefficients": _Ints(coeffs)}),
+            lambda: _document("coeffs", _gf_inputs(args, upto=args.upto),
+                              {"coefficients": coeffs}),
             lambda: _table("n,coefficient\n", "%d,%d\n", (range(len(coeffs)), coeffs)),
             lambda: _join_ints(coeffs, " ") + "\n")
     return 0
@@ -298,19 +287,20 @@ def _cmd_coeffs(args) -> int:
 # -- certify ------------------------------------------------------------
 
 
-def _certify_lines(cert, probe):
-    yield f"verdict: {'certified' if cert.certified else 'refuted'}"
-    yield f"degree bound: {cert.degree_bound}"
-    yield f"period: {cert.period}"
-    yield f"onset: {cert.onset}"
-    yield f"window: [{cert.window.start}, {cert.window.stop}) ({len(cert.window)} checks)"
+def _certify_text(cert, probe) -> str:
+    text = (f"verdict: {'certified' if cert.certified else 'refuted'}\n"
+            f"degree bound: {cert.degree_bound}\n"
+            f"period: {cert.period}\n"
+            f"onset: {cert.onset}\n"
+            f"window: [{cert.window.start}, {cert.window.stop}) ({len(cert.window)} checks)\n")
     if not cert.certified:
         w = cert.refutation
-        yield f"witness: n={w.n} lhs={w.lhs} rhs={w.rhs}"
+        text += f"witness: n={w.n} lhs={w.lhs} rhs={w.rhs}\n"
     if probe is not None:
         verdict = "agreed" if probe["agreed"] else "DISAGREED"
-        yield (f"probe: {probe['probes']} probes up to n={probe['n_max']} "
-               f"(seed {probe['seed']}): {verdict}")
+        text += (f"probe: {probe['probes']} probes up to n={probe['n_max']} "
+                 f"(seed {probe['seed']}): {verdict}\n")
+    return text
 
 
 def _cmd_certify(args) -> int:
@@ -324,34 +314,26 @@ def _cmd_certify(args) -> int:
     probe = None
     if args.probe is not None and cert.certified:
         agreed = soundness_probe(cert, args.probe, PROBE_N_MAX, seed=args.seed)
-        probe = {
-            "probes": str(args.probe),
-            "n_max": str(PROBE_N_MAX),
-            "seed": str(args.seed),
-            "agreed": agreed,
-        }
+        probe = {"probes": args.probe, "n_max": PROBE_N_MAX, "seed": args.seed,
+                 "agreed": agreed}
+    w = cert.refutation
     result = {
         "verdict": "certified" if cert.certified else "refuted",
-        "degree_bound": str(cert.degree_bound),
-        "period": str(cert.period),
-        "onset": str(cert.onset),
+        "degree_bound": cert.degree_bound,
+        "period": cert.period,
+        "onset": cert.onset,
         "window": {
-            "start": str(cert.window.start),
-            "stop": str(cert.window.stop),
-            "checks": str(len(cert.window)),
+            "start": cert.window.start,
+            "stop": cert.window.stop,
+            "checks": len(cert.window),
         },
-        "witness": None if cert.certified else {
-            "n": str(cert.refutation.n),
-            "lhs": str(cert.refutation.lhs),
-            "rhs": str(cert.refutation.rhs),
-        },
+        "witness": None if cert.certified else {"n": w.n, "lhs": w.lhs, "rhs": w.rhs},
         "probe": probe,
     }
     _render(args.format,
-            lambda: _document("certify", _gf_inputs(
-                args, expr=args.expr,
-                onset=None if args.onset is None else str(args.onset)), result),
-            _csv_fields(result), _certify_lines(cert, probe))
+            lambda: _document("certify", _gf_inputs(args, expr=args.expr, onset=args.onset),
+                              result),
+            lambda: _csv_fields(result), lambda: _certify_text(cert, probe))
     return 0 if cert.certified else 1
 
 
@@ -361,11 +343,12 @@ def _cmd_certify(args) -> int:
 def _cmd_triangles_count(args) -> int:
     # the paper's theorem: O(1) in the perimeter, where count_bruteforce
     # loops over about perimeter/6 longest sides
-    count = str(expr_eval(andrews_expr(), args.perimeter))
-    perimeter = str(args.perimeter)
+    count = expr_eval(andrews_expr(), args.perimeter)
     _render(args.format,
-            lambda: _document("triangles count", {"perimeter": perimeter}, {"count": count}),
-            [["perimeter", "count"], [perimeter, count]], [count])
+            lambda: _document("triangles count", {"perimeter": args.perimeter},
+                              {"count": count}),
+            lambda: "perimeter,count\n%d,%d\n" % (args.perimeter, count),
+            lambda: "%d\n" % count)
     return 0
 
 
@@ -373,9 +356,9 @@ def _cmd_triangles_list(args) -> int:
     tris = list_triangles(args.perimeter)
     sides = ([t.x for t in tris], [t.y for t in tris], [t.z for t in tris])
     _render(args.format,
-            lambda: _document("triangles list", {"perimeter": str(args.perimeter)},
-                              {"count": str(len(tris)),
-                               "triangles": list(map(_Ints, zip(*sides)))}),
+            lambda: _document("triangles list", {"perimeter": args.perimeter},
+                              {"count": len(tris),
+                               "triangles": [[t.x, t.y, t.z] for t in tris]}),
             lambda: _table("x,y,z\n", "%d,%d,%d\n", sides),
             lambda: _table("", "(%d,%d,%d)\n", sides))
     return 0
@@ -392,34 +375,30 @@ def _read_values(args) -> list[int]:
         raise ValueError(f"values must be whitespace-separated integers: {exc}")
 
 
-def _fit_lines(fit, constituents):
-    yield f"period: {fit.period}"
-    yield f"degree: {fit.degree}"
-    yield f"holdout_verified: {'true' if fit.holdout_verified else 'false'}"
-    yield f"samples_used: {fit.samples_used}"
-    for r, cs in enumerate(constituents):
-        yield f"constituent {r}: {' '.join(cs)}"
+def _fit_text(fit, constituents) -> str:
+    return (f"period: {fit.period}\n"
+            f"degree: {fit.degree}\n"
+            f"holdout_verified: {'true' if fit.holdout_verified else 'false'}\n"
+            f"samples_used: {fit.samples_used}\n"
+            + "".join(f"constituent {r}: {' '.join(cs)}\n"
+                      for r, cs in enumerate(constituents)))
 
 
 def _cmd_fit(args) -> int:
     samples = _read_values(args)
     fit = fit_quasipoly(samples, d_max=args.dmax, l_max=args.lmax, holdout=args.holdout)
-    inputs = {
-        "dmax": str(args.dmax),
-        "lmax": str(args.lmax),
-        "holdout": str(args.holdout),
-        "samples": str(len(samples)),
-    }
+    inputs = {"dmax": args.dmax, "lmax": args.lmax, "holdout": args.holdout,
+              "samples": len(samples)}
     constituents = [[str(c) for c in p.coeffs] or ["0"] for p in fit.model.constituents]
     result = {
-        "period": str(fit.period),
-        "degree": str(fit.degree),
+        "period": fit.period,
+        "degree": fit.degree,
         "holdout_verified": fit.holdout_verified,
-        "samples_used": str(fit.samples_used),
+        "samples_used": fit.samples_used,
         "constituents": {str(r): cs for r, cs in enumerate(constituents)},
     }
     _render(args.format, lambda: _document("fit", inputs, result),
-            _csv_fields(result), _fit_lines(fit, constituents))
+            lambda: _csv_fields(result), lambda: _fit_text(fit, constituents))
     return 0
 
 
@@ -429,12 +408,7 @@ def _cmd_fit(args) -> int:
 def _cmd_paper(args) -> int:
     coeffs, formula = paper_terms()
     equal = coeffs == formula
-    result = {
-        "upto": "36",
-        "coefficients": _Ints(coeffs),
-        "formula": _Ints(formula),
-        "equal": equal,
-    }
+    result = {"upto": 36, "coefficients": coeffs, "formula": formula, "equal": equal}
     columns = (range(len(coeffs)), coeffs, formula)
     _render(args.format, lambda: _document("paper", {}, result),
             lambda: _table("n,coefficient,formula\n", "%d,%d,%d\n", columns),

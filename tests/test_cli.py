@@ -3,14 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpcert.cli import _Ints, _csv_fields, _join_ints, _json_dump, _table, build_parser, main
+from qpcert.cli import _csv_fields, _join_ints, _json_dump, _table, build_parser, main
 from qpcert.triangles import count_bruteforce
 
 from oracles import alcuin_count
@@ -379,12 +379,16 @@ def test_paper_json_carries_both_arrays(capsys):
     assert doc["result"]["equal"] is True
 
 
-def test_json_round_trips_byte_identical(capsys):
+def test_json_round_trips_byte_identical(capsys, tmp_path):
+    values = tmp_path / "values.txt"
+    values.write_text(" ".join(str(alcuin_count(n)) for n in range(50)))
     for argv in (
         ["coeffs", "--parts", "2,3,4", "--shift", "3", "--upto", "12", "--format", "json"],
         ["certify", "--parts", "2,3,4", "--shift", "3", "--expr", ANDREWS, "--format", "json"],
         ["triangles", "list", "--perimeter", "12", "--format", "json"],
         ["paper", "--format", "json"],
+        ["fit", "--values", str(values), "--dmax", "3", "--lmax", "12", "--format", "json"],
+        ["triangles", "count", "--perimeter", "12", "--format", "json"],
     ):
         _, out, _ = run(capsys, argv)
         assert canonical_json(json.loads(out)) == out
@@ -500,14 +504,21 @@ _JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é\u2028€😀
                      | st.characters(exclude_categories=()), max_size=8)
 
 
+# 10**4000 - 1 has 4000 digits, within the default int-to-str limit of 4300
+_INTS = st.integers(-1000, 1000) | st.integers(-(10**4000 - 1), 10**4000 - 1)
+
+
 def _documents():
     return st.recursive(
-        st.none() | st.booleans() | _JSON_TEXT,
+        st.none() | st.booleans() | _JSON_TEXT | _INTS,
         lambda inner: (
             st.lists(_JSON_TEXT, max_size=5)
-            # a list led by a non-str is written element by element
+            # a list led by an int is an int list, written in one pass
+            | st.lists(_INTS, max_size=5)
+            | st.lists(st.lists(_INTS, max_size=4), max_size=4)
+            # a list led by neither a str nor an int is written element by element
             | st.builds(lambda first, rest: [first, *rest],
-                        inner.filter(lambda v: not isinstance(v, str)),
+                        inner.filter(lambda v: not isinstance(v, str) and type(v) is not int),
                         st.lists(inner, max_size=4))
             | st.dictionaries(_JSON_TEXT, inner, max_size=5)
         ),
@@ -518,16 +529,31 @@ def _documents():
 @settings(max_examples=200, deadline=None)
 @given(_documents())
 def test_json_writer_matches_stdlib_encoder(doc):
+    # the writer prints each int (never a bool) as its decimal string
+    def strs(value):
+        if type(value) is int:
+            return str(value)
+        if isinstance(value, dict):
+            return {k: strs(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return list(map(strs, value))
+        return value
+
     out = []
     _json_dump(doc, out)
-    assert "".join(out) == json.dumps(doc, indent=2, sort_keys=True)
+    assert "".join(out) == json.dumps(strs(doc), indent=2, sort_keys=True)
+
+
+class _Color(IntEnum):
+    RED = 1
 
 
 @pytest.mark.parametrize("value", [
     ["1", 2], ["a", None], ["a", True], ["a", ["b"]], {"k": ["1", {}]},
-    3, {"k": 1.5}, {1: "a"}, ("a",),
-    _Ints([1, True]), _Ints([1, 1.5]), _Ints([1, "2"]), _Ints([Fraction(1, 2), 1]),
-    _Ints([1, None]), [1, 2],
+    3.0, {"k": 1.5}, {1: "a"}, ("a",),
+    [1, True], [1, 1.5], [1, "2"], [Fraction(1, 2), 1],
+    [1, None], [1, 2.0],
+    {"k": [1, True]}, [1, _Color.RED],
 ])
 def test_json_writer_rejects_what_documents_do_not_hold(value):
     # a string list and an int list are each encoded in one pass: a
@@ -537,9 +563,7 @@ def test_json_writer_rejects_what_documents_do_not_hold(value):
         _json_dump(value, [])
 
 
-# 10**4000 - 1 has 4000 digits, within the default int-to-str limit of 4300
-_INT_LISTS = st.lists(st.integers(-1000, 1000) | st.integers(-(10**4000 - 1), 10**4000 - 1),
-                      max_size=20)
+_INT_LISTS = st.lists(_INTS, max_size=20)
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,13 +572,13 @@ def test_int_lists_render_as_their_str_path(values):
     # the reference is the per-number str path each form used before
     strs = list(map(str, values))
     out = []
-    _json_dump({"k": _Ints(values), "n": [_Ints(values)]}, out)
+    _json_dump({"k": values, "n": [values]}, out)
     assert "".join(out) == json.dumps({"k": strs, "n": [strs]}, indent=2, sort_keys=True)
     assert _join_ints(values, " ") == " ".join(strs)
-    assert list(_csv_fields({"k": _Ints(values)})) == [["field", "value"], ["k", " ".join(strs)]]
-    old_rows = chain([["n", "coefficient"]], zip(map(str, range(len(values))), strs))
+    assert _csv_fields({"k": values}) == f"field,value\nk,{' '.join(strs)}\n"
+    old_rows = [["n", "coefficient"], *zip(map(str, range(len(values))), strs)]
     assert (_table("n,coefficient\n", "%d,%d\n", (range(len(values)), values))
-            == "\n".join(chain(map(",".join, old_rows), [""])))
+            == "".join(",".join(row) + "\n" for row in old_rows))
 
 
 def test_int_past_digit_limit_raises_str_error():
@@ -562,7 +586,8 @@ def test_int_past_digit_limit_raises_str_error():
     with pytest.raises(ValueError) as expected:
         str(big)
     for render in (lambda: _join_ints([1, big], " "),
-                   lambda: _json_dump(_Ints([big]), []),
+                   lambda: _json_dump([big], []),
+                   lambda: _json_dump(big, []),
                    lambda: _table("", "%d,%d\n", (range(1), [big]))):
         with pytest.raises(ValueError) as raised:
             render()
