@@ -2,11 +2,16 @@
 
 Grammar (whitespace insignificant, +/-/* left associative):
 
-    expr   := term (('+' | '-') term)*
-    term   := factor ('*' factor)*
-    factor := atom ('^' POSINT)?
-    atom   := INT | 'n' | '(' expr ')' | '-' atom
-            | ('floor' | 'round') '(' expr '/' POSINT ')'
+    expr0  := expr1 (('+' | '-') expr1)*    level 0: Add, Sub
+    expr1  := factor ('*' factor)*          level 1: Mul
+    factor := atom ('^' POSINT)?            level 2: Pow
+    atom   := INT | 'n' | '(' expr0 ')' | '-' atom
+            | ('floor' | 'round') '(' expr0 '/' POSINT ')'
+
+Each node class carries its grammar level as `level`, 3 (an atom)
+unless stated above, and each binary one its symbol and int operator:
+the printer and the interpreter read them there, and the parser's one
+loop walks levels 0 and 1 through the _BINARY table of those classes.
 
 INT and POSINT are runs of ASCII digits.  Unary minus binds tighter
 than '^', so -n^2 is (-n)^2; write -(n^2) for the negated square.
@@ -65,7 +70,9 @@ class DivisorNotLiteral(ExprSyntaxError):
 
 
 class Expr:
-    """Base class for expression AST nodes."""
+    """Base class for expression AST nodes; `level` is the grammar level."""
+
+    level = 3
 
     def __str__(self):
         return format_expr(self)
@@ -87,31 +94,34 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
+    level = 2
 
     def __post_init__(self):
         if self.exponent < 1:
             raise ValueError("Pow exponent must be >= 1")
+
+
+@dataclass(frozen=True)
+class _Binary(Expr):
+    """left op right; the subclass gives the int operator, symbol and level."""
+
+    left: Expr
+    right: Expr
+
+
+class Add(_Binary):
+    op, symbol, level = operator.add, " + ", 0
+
+
+class Sub(_Binary):
+    op, symbol, level = operator.sub, " - ", 0
+
+
+class Mul(_Binary):
+    op, symbol, level = operator.mul, "*", 1
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,10 @@ def _tokenize(text: str):
     return toks
 
 
+# The binary operators of each grammar level, lowest level first.
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul})
+
+
 class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -196,26 +210,18 @@ class _Parser:
             return self.advance()
         self.fail(f"'{sym}'")
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, level: int = 0) -> Expr:
+        # Operands come from direct calls: a paren level costs four frames
+        # (atom, expr(0), expr(1), factor), which bounds the nesting depth.
+        ops = _BINARY[level]
+        last = level + 1 == len(_BINARY)
+        node = self.factor() if last else self.expr(level + 1)
         while True:
             kind, value, _ = self.peek()
-            if kind == "sym" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
+            if kind != "sym" or value not in ops:
                 return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "sym" and value == "*":
-                self.advance()
-                node = Mul(node, self.factor())
-            else:
-                return node
+            self.advance()
+            node = ops[value](node, self.factor() if last else self.expr(level + 1))
 
     def factor(self) -> Expr:
         node = self.atom()
@@ -305,12 +311,8 @@ def _interpret(e: Expr, n):
         return n
     if isinstance(e, Neg):
         return -_interpret(e.operand, n)
-    if isinstance(e, Add):
-        return _interpret(e.left, n) + _interpret(e.right, n)
-    if isinstance(e, Sub):
-        return _interpret(e.left, n) - _interpret(e.right, n)
-    if isinstance(e, Mul):
-        return _interpret(e.left, n) * _interpret(e.right, n)
+    if isinstance(e, _Binary):
+        return e.op(_interpret(e.left, n), _interpret(e.right, n))
     if isinstance(e, Pow):
         return _interpret(e.base, n) ** e.exponent
     if isinstance(e, Floor):
@@ -431,7 +433,7 @@ def expr_bounds(e: Expr) -> tuple[int, int]:
         return 1, 1
     if isinstance(e, Neg):
         return expr_bounds(e.operand)
-    if isinstance(e, (Add, Sub, Mul)):
+    if isinstance(e, _Binary):
         (d1, p1), (d2, p2) = expr_bounds(e.left), expr_bounds(e.right)
         return (d1 + d2 if isinstance(e, Mul) else max(d1, d2)), math.lcm(p1, p2)
     if isinstance(e, Pow):
@@ -511,7 +513,7 @@ def _has_division(e: Expr) -> bool:
         return _has_division(e.operand)
     if isinstance(e, Pow):
         return _has_division(e.base)
-    if isinstance(e, (Add, Sub, Mul)):
+    if isinstance(e, _Binary):
         return _has_division(e.left) or _has_division(e.right)
     return True
 
@@ -539,18 +541,10 @@ def _prime_factors(n: int) -> list[int]:
 
 # -- pretty printer ----------------------------------------------------
 
-# Precedence levels: 0 expr (+/-), 1 term (*), 2 factor (^), 3 atom.
-_LEVEL = {Add: 0, Sub: 0, Mul: 1, Pow: 2}
-
-
 def _fmt(e: Expr, need: int) -> str:
-    level = _LEVEL.get(type(e), 3)
-    if isinstance(e, Add):
-        body = f"{_fmt(e.left, 0)} + {_fmt(e.right, 1)}"
-    elif isinstance(e, Sub):
-        body = f"{_fmt(e.left, 0)} - {_fmt(e.right, 1)}"
-    elif isinstance(e, Mul):
-        body = f"{_fmt(e.left, 1)}*{_fmt(e.right, 2)}"
+    """e's text, in parentheses if its level is below need."""
+    if isinstance(e, _Binary):
+        body = f"{_fmt(e.left, e.level)}{e.symbol}{_fmt(e.right, e.level + 1)}"
     elif isinstance(e, Pow):
         body = f"{_fmt(e.base, 3)}^{e.exponent}"
     elif isinstance(e, Neg):
@@ -564,7 +558,7 @@ def _fmt(e: Expr, need: int) -> str:
         body = "n"
     else:
         raise TypeError(f"not an Expr node: {e!r}")
-    return f"({body})" if level < need else body
+    return f"({body})" if e.level < need else body
 
 
 def format_expr(e: Expr) -> str:

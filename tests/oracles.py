@@ -17,9 +17,12 @@ each held-out sample with fraction_agrees.  reference_expr_bounds is the
 bounds fold with the plain period search: one expr_values pass per
 prime test, one prime of the divisor at a time, and round(X/m) folded
 as floor((2X + m)/(2m)), where expr_bounds tests all primes in rounds
-and searches a round from X mod m; it shares expr_values and the prime
-list with expr_bounds, not the search.  alcuin_count counts triangles by
-perimeter with the parity form, without Andrews's formula or a loop.
+and searches a round from X mod m.  It shares exactly two functions with
+expr_bounds: expr_values, which computes the values the search tests,
+and _prime_factors, the divisor's primes; the search, the floor/round
+check that picks its start value and the round fold are its own.
+alcuin_count counts triangles by perimeter with the parity form, without
+Andrews's formula or a loop.
 """
 
 import math
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 from qpcert.certify import FitResult, _fit_residues
 from qpcert.closedform import (
-    Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, _has_division, _prime_factors, expr_values,
+    Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, _prime_factors, expr_values,
 )
 
 
@@ -133,7 +136,7 @@ def _reference_floor_period(x, d: int, p: int, m: int) -> int:
         return [v % m for v in expr_values(x, range(start, start + d * p))]
 
     base = residues(0)
-    if _has_division(x):
+    if _reference_has_division(x):
         t = coprime = m * math.lcm(*range(1, d + 1))
         while (g := math.gcd(coprime, m)) > 1:
             coprime //= g
@@ -144,6 +147,21 @@ def _reference_floor_period(x, d: int, p: int, m: int) -> int:
         while t % q == 0 and residues(p * (t // q)) == base:
             t //= q
     return t
+
+
+def _reference_has_division(e) -> bool:
+    """True if a Floor or Round node occurs in e."""
+    if isinstance(e, (Floor, Round)):
+        return True
+    if isinstance(e, (Const, Var)):
+        return False
+    if isinstance(e, Neg):
+        return _reference_has_division(e.operand)
+    if isinstance(e, Pow):
+        return _reference_has_division(e.base)
+    if isinstance(e, (Add, Sub, Mul)):
+        return _reference_has_division(e.left) or _reference_has_division(e.right)
+    raise TypeError(f"not an Expr node: {e!r}")
 
 
 def scan_first_mismatch(coeffs, expr, window):

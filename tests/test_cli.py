@@ -171,6 +171,15 @@ def test_certify_too_deep_expression_exit_two(capsys, expr):
     assert err == "error: expression is nested too deeply\n"
 
 
+def test_certify_200_nested_parens_exit_zero(capsys):
+    # each paren level costs the parser a fixed number of frames; one more
+    # frame per level would put this depth past the recursion limit
+    code, out, err = run(capsys, ["certify", "--parts", "1", "--shift", "0",
+                                  "--expr", "(" * 200 + "1" + ")" * 200])
+    assert code == 0
+    assert err == ""
+
+
 def test_certify_out_of_memory_exit_two(capsys, monkeypatch):
     # exit 1 would read as "refuted"; a window too large to hold is bad input
     def exhausted(*args, **kwargs):

@@ -211,6 +211,41 @@ def test_round_trip_battery(text):
     assert parse(format_expr(e)) == e
 
 
+# (input, exact printed text): a round trip alone also passes when the
+# printer adds parentheses that are not needed
+@pytest.mark.parametrize("text, printed", [
+    ("1-(2-3)", "1 - (2 - 3)"),
+    ("((1-2))-3", "1 - 2 - 3"),
+    ("(n+1)*n", "(n + 1)*n"),
+    ("n*(n*n)", "n*(n*n)"),
+    ("n+(2*n)", "n + 2*n"),
+    ("(n+1)^2", "(n + 1)^2"),
+    ("(2*n)^2", "(2*n)^2"),
+    ("(n^2)^3", "(n^2)^3"),
+    ("-(n+1)", "-(n + 1)"),
+    ("-(n^2)", "-(n^2)"),
+    ("(-n)^2", "-n^2"),
+    ("floor((n+2)/4)", "floor((n + 2)/4)"),
+    ("round((n*n)/12)", "round((n*n)/12)"),
+    ("(-n)*floor(n/2)", "-n*floor(n/2)"),
+])
+def test_format_expr_exact_text(text, printed):
+    assert format_expr(parse(text)) == printed
+
+
+def test_andrews_repr():
+    assert repr(parse(ANDREWS)) == (
+        "Sub(left=Round(operand=Pow(base=Var(), exponent=2), divisor=12), "
+        "right=Mul(left=Floor(operand=Var(), divisor=4), "
+        "right=Floor(operand=Add(left=Var(), right=Const(value=2)), divisor=4)))"
+    )
+
+
+def test_binary_nodes_equal_only_within_their_class():
+    assert Add(Var(), Var()) != Sub(Var(), Var())
+    assert hash(parse("1-2*n")) == hash(parse("1 - 2*n"))
+
+
 # random ASTs shaped like what parse can produce (non-negative literals)
 def _exprs(divisors=st.integers(1, 6), max_leaves=6):
     leaves = st.one_of(
