@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import compress, count
 
+from ._value import _Value, _set
 from .closedform import Expr, expr_bounds, expr_values
 from .genfunc import RationalGF
 from .polynomial import _differences, interpolate
@@ -39,35 +39,44 @@ class InsufficientSamples(ValueError):
     """Too few samples for the requested ansatz search."""
 
 
-@dataclass(frozen=True)
-class Refutation:
-    """First window index where the two sides disagree."""
+class Refutation(_Value):
+    """First checked index where the two sides disagree."""
 
-    n: int
-    lhs: int
-    rhs: int
+    __slots__ = __match_args__ = ("n", "lhs", "rhs")
+
+    def __init__(self, n: int, lhs: int, rhs: int):
+        _set(self, "n", n)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """Outcome of a finite-check certification run.
 
-    `window` is the checked index range; it always spans exactly
-    degree_bound + 1 points in each residue class mod period, and both
+    `window` is the window the theorem checks; it always spans exactly
+    degree_bound + 1 points in each residue class mod period.  `tail`
+    follows it up to gf.onset() + (degree_bound + 1)*period, and is empty
+    unless the onset was overridden below gf.onset() (see certify).  Both
     sides (coefficient and the expression's integer value) were computed
-    at every index in it.  If `refutation` is None the verdict is
-    Certified: every index was compared and the identity holds for every
-    n >= onset.  Otherwise it is the smallest mismatching index, and the
-    comparison stopped there: indices past it were not compared.
+    at every index in window and tail.  If `refutation` is None the
+    verdict is Certified: every index was compared and the identity holds
+    for every n >= onset.  Otherwise it is the smallest mismatching index,
+    and the comparison stopped there: indices past it were not compared.
     """
 
-    gf: RationalGF
-    expr: Expr
-    onset: int
-    degree_bound: int
-    period: int
-    window: range
-    refutation: Refutation | None
+    __slots__ = __match_args__ = ("gf", "expr", "onset", "degree_bound", "period", "window",
+                                  "tail", "refutation")
+
+    def __init__(self, gf: RationalGF, expr: Expr, onset: int, degree_bound: int,
+                 period: int, window: range, tail: range, refutation: Refutation | None):
+        _set(self, "gf", gf)
+        _set(self, "expr", expr)
+        _set(self, "onset", onset)
+        _set(self, "degree_bound", degree_bound)
+        _set(self, "period", period)
+        _set(self, "window", window)
+        _set(self, "tail", tail)
+        _set(self, "refutation", refutation)
 
     @property
     def certified(self) -> bool:
@@ -80,17 +89,32 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     The degree bound is the max of the generating function's bound and
     the expression's (expr_bounds); the period is the lcm of the two
     periods.  Refutation is a result, not an error: the returned witness
-    is the first mismatching index in the window.
+    is the first mismatching index in the window or the tail.
+
+    The window theorem needs both sides to be quasi-polynomials from the
+    window's start on, which the coefficients are only from s =
+    gf.onset().  So an override t below s also checks the tail, up to
+    s + (degree+1)*period: agreement on [t, s) plus the window from s
+    proves the identity from t.  Such an identity never certifies.  Write
+    the numerator N = Q*D + R with D = prod(1 - q^b) and deg R < sum(b),
+    a division that stays in the integers since D has constant term 1
+    and leading coefficient +-1.  The coefficients are Q's plus those of
+    R/D, a quasi-polynomial for all n >= 0.  If R/D is the expression,
+    the mismatches are exactly Q's nonzero coefficients, and Q's top one
+    sits at s - 1 >= t; otherwise the two quasi-polynomials differ at
+    some n >= s.
     """
     if onset_override is not None and onset_override < 0:
         raise ValueError("onset_override must be non-negative")
     d, p = expr_bounds(expr)
     degree = max(gf.degree_bound(), d)
     period = math.lcm(gf.period_bound(), p)
-    onset = gf.onset() if onset_override is None else onset_override
+    s = gf.onset()
+    onset = s if onset_override is None else onset_override
     window = _window(onset, degree, period)
-    lhs = gf.coeffs(window.stop - 1)[onset:]
-    rhs = expr_values(expr, window)
+    tail = range(window.stop, max(window.stop, s + len(window)))
+    lhs = gf.coeffs(tail.stop - 1)[onset:]
+    rhs = expr_values(expr, range(onset, tail.stop))
     refutation = None
     if lhs != rhs:
         i = next(compress(count(), map(operator.ne, lhs, rhs)))
@@ -102,6 +126,7 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
         degree_bound=degree,
         period=period,
         window=window,
+        tail=tail,
         refutation=refutation,
     )
 
@@ -191,8 +216,7 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     return cert.gf.coeffs_at(indices) == expr_values(cert.expr, indices)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(_Value):
     """Outcome of a quasi-polynomial ansatz search.
 
     `model` is the per-residue interpolation of the first samples_used =
@@ -201,11 +225,16 @@ class FitResult:
     len(samples) - samples_used values were held out.
     """
 
-    model: QuasiPoly
-    degree: int
-    period: int
-    holdout_verified: bool
-    samples_used: int
+    __slots__ = __match_args__ = ("model", "degree", "period", "holdout_verified",
+                                  "samples_used")
+
+    def __init__(self, model: QuasiPoly, degree: int, period: int, holdout_verified: bool,
+                 samples_used: int):
+        _set(self, "model", model)
+        _set(self, "degree", degree)
+        _set(self, "period", period)
+        _set(self, "holdout_verified", holdout_verified)
+        _set(self, "samples_used", samples_used)
 
 
 def _class_degree(values, d_max: int) -> int:

@@ -293,6 +293,8 @@ def _certify_text(cert, probe) -> str:
             f"period: {cert.period}\n"
             f"onset: {cert.onset}\n"
             f"window: [{cert.window.start}, {cert.window.stop}) ({len(cert.window)} checks)\n")
+    if cert.tail:
+        text += f"tail: [{cert.tail.start}, {cert.tail.stop}) ({len(cert.tail)} checks)\n"
     if not cert.certified:
         w = cert.refutation
         text += f"witness: n={w.n} lhs={w.lhs} rhs={w.rhs}\n"
@@ -301,6 +303,10 @@ def _certify_text(cert, probe) -> str:
         text += (f"probe: {probe['probes']} probes up to n={probe['n_max']} "
                  f"(seed {probe['seed']}): {verdict}\n")
     return text
+
+
+def _range_doc(checked: range) -> dict:
+    return {"start": checked.start, "stop": checked.stop, "checks": len(checked)}
 
 
 def _cmd_certify(args) -> int:
@@ -322,11 +328,9 @@ def _cmd_certify(args) -> int:
         "degree_bound": cert.degree_bound,
         "period": cert.period,
         "onset": cert.onset,
-        "window": {
-            "start": cert.window.start,
-            "stop": cert.window.stop,
-            "checks": len(cert.window),
-        },
+        "window": _range_doc(cert.window),
+        # only an --onset below the GF's onset has a tail
+        **({"tail": _range_doc(cert.tail)} if cert.tail else {}),
         "witness": None if cert.certified else {"n": w.n, "lhs": w.lhs, "rhs": w.rhs},
         "probe": probe,
     }

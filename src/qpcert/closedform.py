@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import math
 import operator
-import string
-from dataclasses import dataclass
 from itertools import chain, repeat
 
+from ._value import _Value, _set
 from .polynomial import Poly
 from .quasipoly import QuasiPoly
 
@@ -69,79 +68,92 @@ class DivisorNotLiteral(ExprSyntaxError):
     """The divisor inside floor/round was not a positive integer literal."""
 
 
-class Expr:
+class Expr(_Value):
     """Base class for expression AST nodes; `level` is the grammar level."""
 
+    __slots__ = ()
     level = 3
 
     def __str__(self):
         return format_expr(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: int
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
     level = 2
 
-    def __post_init__(self):
-        if self.exponent < 1:
+    def __init__(self, base: Expr, exponent: int):
+        if exponent < 1:
             raise ValueError("Pow exponent must be >= 1")
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class _Binary(Expr):
     """left op right; the subclass gives the int operator, symbol and level."""
 
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class Add(_Binary):
+    __slots__ = ()
     op, symbol, level = operator.add, " + ", 0
 
 
 class Sub(_Binary):
+    __slots__ = ()
     op, symbol, level = operator.sub, " - ", 0
 
 
 class Mul(_Binary):
+    __slots__ = ()
     op, symbol, level = operator.mul, "*", 1
 
 
-@dataclass(frozen=True)
 class _Division(Expr):
     """operand / divisor rounded to an integer; the subclass names how."""
 
-    operand: Expr
-    divisor: int
+    __slots__ = __match_args__ = ("operand", "divisor")
 
-    def __post_init__(self):
-        if self.divisor < 1:
+    def __init__(self, operand: Expr, divisor: int):
+        if divisor < 1:
             raise ValueError(f"{type(self).__name__} divisor must be >= 1")
+        _set(self, "operand", operand)
+        _set(self, "divisor", divisor)
 
 
 class Floor(_Division):
     """floor(operand / divisor), toward -inf."""
 
+    __slots__ = ()
+
 
 class Round(_Division):
     """round(operand / divisor), ties half-up."""
+
+    __slots__ = ()
 
 
 # -- tokenizer ---------------------------------------------------------
@@ -149,8 +161,8 @@ class Round(_Division):
 _SYMBOLS = "+-*^()/"
 # ASCII only: str.isdigit/isalpha also accept characters such as '²' or
 # Arabic-Indic digits, which int() rejects or silently reads as 0-9.
-_DIGITS = frozenset(string.digits)
-_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _tokenize(text: str):

@@ -1,7 +1,7 @@
 """Rational generating functions N(q) / prod(1 - q^b_i).
 
 The denominator is described by a multiset of positive part sizes, kept
-sorted, so RationalGF (a frozen slotted dataclass over the numerator and
+sorted, so RationalGF (a frozen slotted value over the numerator and
 the parts) compares and hashes equal for the same multiset in any order.
 Dividing a power series by one factor (1 - q^b) is the recurrence
 c_n += c_{n-b}, i.e. a prefix sum along each residue class mod b, so the
@@ -26,10 +26,10 @@ the onset are what make finite-window identity certification sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from operator import add, mul, sub
 
+from ._value import _Value, _set
 from .polynomial import Poly
 
 # Rows per tile in RationalGF.coeffs.  Summing each column over the whole
@@ -44,22 +44,21 @@ class EmptyParts(ValueError):
     """A rational generating function needs at least one denominator part."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class RationalGF:
+class RationalGF(_Value):
     """Numerator polynomial over the integers, denominator prod(1 - q^b)."""
 
-    numerator: Poly
-    parts: tuple
+    __slots__ = __match_args__ = ("numerator", "parts")
 
-    def __post_init__(self):
-        parts = tuple(sorted(self.parts))
+    def __init__(self, numerator: Poly, parts):
+        parts = tuple(sorted(parts))
         if not parts:
             raise EmptyParts("parts must be a non-empty multiset of positive integers")
         if any(b < 1 for b in parts):
             raise ValueError(f"part sizes must be positive, got {parts}")
-        if self.numerator.den != 1:
-            raise ValueError(f"numerator must have integer coefficients, got {self.numerator!r}")
-        object.__setattr__(self, "parts", parts)
+        if numerator.den != 1:
+            raise ValueError(f"numerator must have integer coefficients, got {numerator!r}")
+        _set(self, "numerator", numerator)
+        _set(self, "parts", parts)
 
     def __repr__(self):
         den = "".join(f"(1-q^{b})" for b in self.parts)

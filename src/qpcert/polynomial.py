@@ -4,8 +4,8 @@ A polynomial is stored as one tuple of integer numerators `num`, constant
 term first, over one positive common denominator `den`.  The pair is kept
 canonical: trailing zeros are stripped, gcd(den, *num) == 1, and the zero
 polynomial is the empty tuple over 1, so equal polynomials have equal
-(num, den).  Poly is a frozen slotted dataclass over those two fields,
-so its generated == and hash are equality of values.  Arithmetic and
+(num, den).  Poly is a frozen slotted value over those two fields
+(qpcert._value), so its == and hash are equality of values.  Arithmetic and
 evaluation at an integer run on Python ints; the Fraction coefficients
 `coeffs` are a view derived on demand.
 
@@ -16,8 +16,9 @@ polynomial has degree -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import _Value, _set
 
 
 def horner(num, x):
@@ -46,8 +47,8 @@ def _poly(num, den: int) -> "Poly":
             num = tuple(c // g for c in num)
             den //= g
     p = object.__new__(Poly)
-    object.__setattr__(p, "num", num)
-    object.__setattr__(p, "den", den)
+    _set(p, "num", num)
+    _set(p, "den", den)
     return p
 
 
@@ -60,8 +61,7 @@ def _operand(x):
     return None
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Poly:
+class Poly(_Value):
     """A polynomial with rational coefficients, constant term first.
 
     Stored as integer numerators `num` over one common denominator `den`
@@ -75,8 +75,7 @@ class Poly:
     Fraction(8, 1)
     """
 
-    num: tuple
-    den: int
+    __slots__ = __match_args__ = ("num", "den")
 
     def __init__(self, *coeffs):
         den = 1
@@ -85,8 +84,8 @@ class Poly:
                 raise TypeError(f"expected an int or Fraction, got {type(c).__name__}")
             den = math.lcm(den, c.denominator)
         p = _poly([c.numerator * (den // c.denominator) for c in coeffs], den)
-        object.__setattr__(self, "num", p.num)
-        object.__setattr__(self, "den", p.den)
+        _set(self, "num", p.num)
+        _set(self, "den", p.den)
 
     @property
     def coeffs(self) -> tuple:

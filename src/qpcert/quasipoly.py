@@ -4,7 +4,7 @@ A QuasiPoly of period L holds L constituent polynomials; the value at an
 integer n is constituents[n mod L] evaluated at n itself (the constituents
 are polynomials in n, not in the quotient (n - r)/L).  Residues use
 mathematical mod, so negative n is well defined.  QuasiPoly is a frozen
-slotted dataclass: == and hash compare the period and the constituent
+slotted value (qpcert._value): == and hash compare the period and the constituent
 tuple, so two representations of the same function with different
 periods differ until canonical() reduces both to the minimal period.
 
@@ -19,9 +19,9 @@ representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import _Value, _set
 from .polynomial import Poly, _poly, horner
 
 
@@ -29,22 +29,21 @@ class NonPositiveModulus(ValueError):
     """Floor division requires a modulus >= 1."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class QuasiPoly:
+class QuasiPoly(_Value):
     """Period L plus L constituent polynomials, indexed by residue mod L."""
 
-    period: int
-    constituents: tuple
+    __slots__ = __match_args__ = ("period", "constituents")
 
-    def __post_init__(self):
-        constituents = tuple(self.constituents)
-        if self.period < 1:
+    def __init__(self, period: int, constituents):
+        constituents = tuple(constituents)
+        if period < 1:
             raise ValueError("period must be >= 1")
-        if len(constituents) != self.period:
-            raise ValueError(f"expected {self.period} constituents, got {len(constituents)}")
+        if len(constituents) != period:
+            raise ValueError(f"expected {period} constituents, got {len(constituents)}")
         if not all(isinstance(p, Poly) for p in constituents):
             raise TypeError("constituents must be Poly values")
-        object.__setattr__(self, "constituents", constituents)
+        _set(self, "period", period)
+        _set(self, "constituents", constituents)
 
     @staticmethod
     def from_poly(p: Poly) -> "QuasiPoly":

@@ -14,8 +14,9 @@ of that identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
+from ._value import _Value, _set
 from .closedform import Expr, expr_values, parse
 from .genfunc import RationalGF
 
@@ -24,35 +25,44 @@ class InvalidTriangle(ValueError):
     """Side triple is not sorted, not positive, or fails y + z > x."""
 
 
-@dataclass(frozen=True, order=True)
-class Triangle:
-    """Side lengths sorted non-increasing; must satisfy y + z > x."""
+@functools.total_ordering
+class Triangle(_Value):
+    """Side lengths sorted non-increasing; must satisfy y + z > x.
 
-    x: int
-    y: int
-    z: int
+    Triangles order as their (x, y, z) tuples.
+    """
 
-    def __post_init__(self):
-        if not (self.x >= self.y >= self.z >= 1):
+    __slots__ = __match_args__ = ("x", "y", "z")
+
+    def __init__(self, x: int, y: int, z: int):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+        if not (x >= y >= z >= 1):
             raise InvalidTriangle(f"sides must satisfy x >= y >= z >= 1: {self}")
-        if self.y + self.z <= self.x:
+        if y + z <= x:
             raise InvalidTriangle(f"triangle inequality fails: {self}")
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() < other._fields()
 
     @property
     def perimeter(self) -> int:
         return self.x + self.y + self.z
 
 
-@dataclass(frozen=True)
-class TriangleParam:
+class TriangleParam(_Value):
     """Free non-negative coordinates (a, b, t) of the triangle bijection."""
 
-    a: int
-    b: int
-    t: int
+    __slots__ = __match_args__ = ("a", "b", "t")
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.t < 0:
+    def __init__(self, a: int, b: int, t: int):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "t", t)
+        if a < 0 or b < 0 or t < 0:
             raise ValueError(f"parameters must be non-negative: {self}")
 
     @property

@@ -12,8 +12,10 @@ the window scan evaluates each index with it.  fraction_agrees compares a
 model's value with a sample through QuasiPoly.__call__, a Fraction,
 where fit_quasipoly reads degrees off integer difference tables.
 grid_fit is the exhaustive (period, degree) search that fit_quasipoly's
-difference tables replace: it builds every candidate model and tests
-each held-out sample with fraction_agrees.  reference_expr_bounds is the
+difference tables replace: it builds every candidate model by Lagrange
+interpolation over Fraction tuples (frac_interpolate), where the library
+interpolates in Newton form on integer numerators, and tests each
+held-out sample with frac_eval.  reference_expr_bounds is the
 bounds fold with the plain period search: one expr_values pass per
 prime test, one prime of the divisor at a time, and round(X/m) folded
 as floor((2X + m)/(2m)), where expr_bounds tests all primes in rounds
@@ -22,16 +24,29 @@ expr_bounds: expr_values, which computes the values the search tests,
 and _prime_factors, the divisor's primes; the search, the floor/round
 check that picks its start value and the round fold are its own.
 alcuin_count counts triangles by perimeter with the parity form, without
-Andrews's formula or a loop.
+Andrews's formula or a loop.  replace is the tests' dataclasses.replace:
+it rebuilds a value through its class's constructor.
 """
 
 import math
 from fractions import Fraction
 
-from qpcert.certify import FitResult, _fit_residues
+from qpcert.certify import FitResult
 from qpcert.closedform import (
     Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, _prime_factors, expr_values,
 )
+from qpcert.polynomial import Poly
+from qpcert.quasipoly import QuasiPoly
+
+
+def replace(value, **changes):
+    """A copy of value with changes, built through its class's constructor.
+
+    The constructor's checks run on the changed fields, as with
+    dataclasses.replace.
+    """
+    fields = {name: getattr(value, name) for name in type(value).__match_args__}
+    return type(value)(**{**fields, **changes})
 
 
 def naive_triangle_count(n: int) -> int:
@@ -182,14 +197,19 @@ def grid_fit(samples, d_max: int, l_max: int):
     """First candidate (L, d), by L then d, that reproduces every held-out sample.
 
     Candidate (L, d) interpolates each residue class mod L on the first
-    (d+1)*L samples.  Returns the winner as a verified FitResult, or None
-    if no candidate up to (l_max, d_max) survives.
+    (d+1)*L samples with frac_interpolate, and is checked on each later
+    sample with frac_eval.  Returns the winner as a verified FitResult,
+    its model a QuasiPoly of those constituents, or None if no candidate
+    up to (l_max, d_max) survives.
     """
     for period in range(1, l_max + 1):
         for degree in range(d_max + 1):
             train = (degree + 1) * period
-            model = _fit_residues(samples, 0, train, period)
-            if all(fraction_agrees(model, n, samples[n]) for n in range(train, len(samples))):
+            cons = [frac_interpolate([(n, samples[n]) for n in range(r, train, period)])
+                    for r in range(period)]
+            if all(frac_eval(cons[n % period], n) == samples[n]
+                   for n in range(train, len(samples))):
+                model = QuasiPoly(period, [Poly(*c) for c in cons])
                 return FitResult(model=model, degree=degree, period=period,
                                  holdout_verified=True, samples_used=train)
     return None
@@ -225,6 +245,18 @@ def frac_eval(a, x) -> Fraction:
     for c in reversed(a):
         acc = acc * x + c
     return acc
+
+
+def frac_interpolate(points) -> tuple:
+    """The polynomial of degree < len(points) through the (x, y) points, by Lagrange."""
+    total = ()
+    for i, (xi, yi) in enumerate(points):
+        term = (Fraction(yi),)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                term = frac_mul(term, (Fraction(-xj, xi - xj), Fraction(1, xi - xj)))
+        total = frac_add(total, term)
+    return total
 
 
 def frac_floor_div(constituents, m: int) -> tuple:

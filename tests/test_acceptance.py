@@ -5,7 +5,6 @@ captured output of a failing run) and asserts both the exact result and
 the runtime budget.
 """
 
-import dataclasses
 import json
 import random
 import time
@@ -17,7 +16,7 @@ from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
 from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
 
-from oracles import naive_series_coeffs
+from oracles import naive_series_coeffs, replace
 
 ANDREWS = "round(n^2/12) - floor(n/4)*floor((n+2)/4)"
 
@@ -200,7 +199,7 @@ def test_mutation_also_breaks_probe_backstop(capsys):
     # period must be caught by the empirical probe
     with timer() as t:
         cert = certify(triangle_gf(), andrews_expr())
-        corrupted = dataclasses.replace(cert, period=cert.period // 2)
+        corrupted = replace(cert, period=cert.period // 2)
         ok = not soundness_probe(corrupted, 500, 100000, seed=0)
     with capsys.disabled():
         print(f"ACCEPTANCE 8b PASS: tampered certificate caught by probe ({t.elapsed:.2f}s)"

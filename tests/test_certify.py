@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -23,6 +22,7 @@ from oracles import (
     grid_fit,
     naive_series_coeffs,
     oracle_eval,
+    replace,
     scan_first_mismatch,
 )
 from test_acceptance import ANDREWS, BATTERY
@@ -207,7 +207,7 @@ def test_soundness_probe_rejects_n_max_below_onset(probes):
 
 def test_soundness_probe_detects_tampered_period():
     cert = certify(triangle_gf(), andrews_expr())
-    corrupted = dataclasses.replace(cert, period=cert.period // 2)
+    corrupted = replace(cert, period=cert.period // 2)
     assert not soundness_probe(corrupted, 500, 100000, seed=0)
 
 
@@ -215,7 +215,7 @@ def test_soundness_probe_detects_swapped_gf():
     # the window still matches its bounds, but the swapped-in gf's
     # coefficients grow like n^2/60, not like the expression's n^2/48
     cert = certify(triangle_gf(), andrews_expr())
-    swapped = dataclasses.replace(cert, gf=RationalGF.from_parts((2, 3, 5), shift=3))
+    swapped = replace(cert, gf=RationalGF.from_parts((2, 3, 5), shift=3))
     assert not soundness_probe(swapped, 500, 100000, seed=0)
 
 
@@ -223,7 +223,7 @@ def test_soundness_probe_evaluates_the_expression():
     # floor(n/36) is 0 on the whole window [0, 36) and positive from 36
     # on, so the certificate's window data says nothing about the error
     cert = certify(triangle_gf(), andrews_expr())
-    wrong = dataclasses.replace(cert, expr=parse(ANDREWS + " + floor(n/36)"))
+    wrong = replace(cert, expr=parse(ANDREWS + " + floor(n/36)"))
     assert not soundness_probe(wrong, 500, 100000, seed=0)
 
 
@@ -234,7 +234,7 @@ def test_soundness_probe_evaluates_the_expression():
 ])
 def test_soundness_probe_rejects_malformed_window(field, value):
     cert = certify(triangle_gf(), andrews_expr())
-    malformed = dataclasses.replace(cert, **{field: value})
+    malformed = replace(cert, **{field: value})
     assert not soundness_probe(malformed, 500, 100000, seed=0)
 
 
@@ -249,7 +249,7 @@ def test_far_probe_rejects_formula_that_departs_past_10_to_12():
     # the extra floor term is 0 on the window and on every n < 10^12, so
     # only a probe past 10^12 can tell it from Andrews's formula
     cert = certify(triangle_gf(), andrews_expr())
-    wrong = dataclasses.replace(cert, expr=parse(ANDREWS + " + floor(n/1000000000000)"))
+    wrong = replace(cert, expr=parse(ANDREWS + " + floor(n/1000000000000)"))
     assert soundness_probe(wrong, 500, 100000, seed=0)
     assert not soundness_probe(wrong, 500, 10**30, seed=0)
 
@@ -379,7 +379,7 @@ def _certify_draws(draw):
     if draw(st.integers(0, 9)) < 3:
         num[draw(st.integers(0, size - 1))] += draw(st.sampled_from([-1, 1]))
     gf = RationalGF(Poly(*num), parts)
-    override = draw(st.one_of(st.none(), st.integers(0, 4).map(lambda k: gf.onset() + k)))
+    override = draw(st.one_of(st.none(), st.integers(max(0, gf.onset() - 4), gf.onset() + 4)))
     return gf, num, expr, override
 
 
@@ -389,10 +389,10 @@ def test_certify_verdict_matches_oracle_far_past_window(draw):
     # certified means the identity holds from the onset on, so the brute
     # oracle must find no mismatch on [t, 3*stop), and the probe must
     # agree there too; refuted means the witness is the oracle's first
-    # mismatch, which lies in the window
+    # mismatch, which lies in the window or the tail that follows it
     gf, num, expr, override = draw
     cert = certify(gf, expr, onset_override=override)
-    upto = 3 * cert.window.stop
+    upto = 3 * cert.tail.stop
     coeffs = naive_series_coeffs(gf.parts, num, upto - 1)
     mismatch = scan_first_mismatch(coeffs, expr, range(cert.onset, upto))
     assert cert.certified == (mismatch is None)
@@ -403,11 +403,49 @@ def test_certify_verdict_matches_oracle_far_past_window(draw):
         assert (w.n, w.lhs, w.rhs) == mismatch
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: an onset override below gf.onset() "
-                          "shrinks the window past the numerator's tail")
 def test_onset_override_below_gf_onset_is_not_certified():
-    # (1 + q^3)/(1 - q) is 1, 1, 1, 2, 2, ...: the constant 1 fails at n = 3
+    # (1 + q^3)/(1 - q) is 1, 1, 1, 2, 2, ...: the constant 1 fails at n = 3,
+    # past the one-index window [0, 1), inside the tail up to onset 3 + 1
     gf = RationalGF(Poly(1, 0, 0, 1), (1,))
     cert = certify(gf, parse("1"), onset_override=0)
     assert not cert.certified
+    assert (cert.window, cert.tail) == (range(0, 1), range(1, 4))
+    w = cert.refutation
+    assert (w.n, w.lhs, w.rhs) == (3, 2, 1)
+
+
+@st.composite
+def _improper_draws(draw):
+    """(gf, numerator coefficients, expr, override t < gf.onset()).
+
+    gf is _identity_gf of an expression, whose coefficients are the
+    expression's values from 0 on, plus Q*D for D = prod(1 - q^b) and a
+    nonzero polynomial Q: the coefficients are the expression's plus Q's,
+    so they disagree exactly where Q is nonzero, the last time at
+    gf.onset() - 1 = deg Q.
+    """
+    expr = draw(_exprs())
+    qp = expr_to_qp(expr)
+    assume(qp.degree <= 3 and 60 % qp.period == 0)
+    gf = _identity_gf(expr, qp.period, max(qp.degree, 0))
+    q = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+    q[-1] = draw(st.sampled_from([-2, -1, 1, 2]))
+    den = (1,)
+    for b in gf.parts:
+        den = frac_mul(den, (1,) + (0,) * (b - 1) + (-1,))
+    gf = RationalGF(gf.numerator + Poly(*frac_mul(q, den)), gf.parts)
+    assert gf.onset() == len(q)
+    num = [int(c) for c in gf.numerator.coeffs]
+    return gf, num, expr, draw(st.integers(0, gf.onset() - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_improper_draws())
+def test_override_below_onset_refutes_at_first_brute_force_mismatch(draw):
+    gf, num, expr, override = draw
+    cert = certify(gf, expr, onset_override=override)
+    assert not cert.certified
+    upto = 3 * cert.tail.stop
+    coeffs = naive_series_coeffs(gf.parts, num, upto - 1)
+    w = cert.refutation
+    assert (w.n, w.lhs, w.rhs) == scan_first_mismatch(coeffs, expr, range(override, upto))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import operator
 from fractions import Fraction
@@ -10,7 +9,7 @@ from qpcert.genfunc import EmptyParts, RationalGF
 from qpcert.polynomial import Poly
 from qpcert.quasipoly import NonPositiveModulus, QuasiPoly
 
-from oracles import frac_floor_div, frac_poly, frac_round_div
+from oracles import frac_floor_div, frac_poly, frac_round_div, replace
 
 N_POLY = Poly(0, 1)
 
@@ -225,4 +224,4 @@ def test_value_types_are_frozen_structural_values(value, rebuilt, field, change,
     # a copy with a changed field goes through the constructor's checks
     if change is not None:
         with pytest.raises(error):
-            dataclasses.replace(value, **change)
+            replace(value, **change)
