@@ -200,19 +200,14 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     correct implementation this is a consequence of the certified
     theorem, so False indicates a bug (or a tampered certificate).
     ValueError if cert is refuted, probes is negative or n_max is below
-    cert.onset, even when probes is 0.
+    cert.onset, even when probes is 0: probe_indices checks its
+    arguments, and is called before the window is compared.
     """
     if not cert.certified:
         raise ValueError("soundness_probe requires a Certified certificate")
-    if probes < 0:
-        raise ValueError("probes must be non-negative")
-    if n_max < cert.onset:
-        raise ValueError("n_max must be >= onset")
+    indices = probe_indices(cert.onset, n_max, probes, seed)
     if cert.window != _window(cert.onset, cert.degree_bound, cert.period):
         return False
-    if probes == 0:
-        return True
-    indices = probe_indices(cert.onset, n_max, probes, seed)
     return cert.gf.coeffs_at(indices) == expr_values(cert.expr, indices)
 
 

@@ -31,7 +31,9 @@ that support them:
 expr_bounds gets a degree bound and a period of that quasi-polynomial
 without building it: a fold over the AST that reads each floor's or
 round's period off its operand's integer values mod the divisor, one
-expr_values pass per round of tests over the divisor's primes.
+expr_values pass per round of tests over the divisor's primes.  The
+same fold reports whether each subtree is floor-free, which tells the
+period search where it may start.
 
 >>> e = parse("round(n^2/12)")
 >>> [expr_eval(e, n) for n in range(8)]
@@ -211,10 +213,10 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, expected: str):
+    def fail(self, expected: str, error=ExprSyntaxError):
         kind, value, offset = self.peek()
         found = "end of input" if kind == "end" else repr(str(value))
-        raise ExprSyntaxError(f"expected {expected}, found {found}", offset)
+        raise error(f"expected {expected}, found {found}", offset)
 
     def eat_sym(self, sym: str):
         kind, value, _ = self.peek()
@@ -260,16 +262,9 @@ class _Parser:
             self.eat_sym("(")
             inner = self.expr()
             self.eat_sym("/")
-            kind, divisor, offset = self.peek()
-            if kind != "int":
-                found = "end of input" if kind == "end" else repr(str(divisor))
-                raise DivisorNotLiteral(
-                    f"divisor must be a positive integer literal, found {found}", offset
-                )
-            if divisor < 1:
-                raise DivisorNotLiteral(
-                    f"divisor must be a positive integer literal, found {divisor}", offset
-                )
+            kind, divisor, _ = self.peek()
+            if kind != "int" or divisor < 1:
+                self.fail("a positive integer literal divisor", DivisorNotLiteral)
             self.advance()
             self.eat_sym(")")
             if value == "round":
@@ -439,25 +434,30 @@ def expr_bounds(e: Expr) -> tuple[int, int]:
     (n - n has degree bound 1), but the period bound is always a multiple
     of the exact period and the degree bound never below the degree.
     """
+    return _bounds(e)[:2]
+
+
+def _bounds(e: Expr) -> tuple[int, int, bool]:
+    """expr_bounds' (degree, period), and whether no floor or round is in e."""
     if isinstance(e, Const):
-        return 0, 1
+        return 0, 1, True
     if isinstance(e, Var):
-        return 1, 1
+        return 1, 1, True
     if isinstance(e, Neg):
-        return expr_bounds(e.operand)
+        return _bounds(e.operand)
     if isinstance(e, _Binary):
-        (d1, p1), (d2, p2) = expr_bounds(e.left), expr_bounds(e.right)
-        return (d1 + d2 if isinstance(e, Mul) else max(d1, d2)), math.lcm(p1, p2)
+        (d1, p1, f1), (d2, p2, f2) = _bounds(e.left), _bounds(e.right)
+        return (d1 + d2 if isinstance(e, Mul) else max(d1, d2)), math.lcm(p1, p2), f1 and f2
     if isinstance(e, Pow):
-        d, p = expr_bounds(e.base)
-        return d * e.exponent, p
+        d, p, free = _bounds(e.base)
+        return d * e.exponent, p, free
     if isinstance(e, _Division):
-        d, p = expr_bounds(e.operand)
-        return d, p * _floor_period(e.operand, d, p, e.divisor)
+        d, p, free = _bounds(e.operand)
+        return d, p * _floor_period(e.operand, d, p, e.divisor, free), False
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _floor_period(x: Expr, d: int, p: int, m: int) -> int:
+def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool) -> int:
     """Least T such that x mod m has period p*T; x has degree <= d mod p.
 
     On residue class r, k -> x(r + p*k) is an integer-valued polynomial
@@ -486,20 +486,20 @@ def _floor_period(x: Expr, d: int, p: int, m: int) -> int:
     least one (but see _prime_factors), and the passes fall from 1 + the
     sum of the primes' test counts to 1 + the largest of them.
 
-    An x with no floor or round in it (so p = 1) is a polynomial with
-    integer coefficients, so x(n + m) = x(n) mod m and the search starts
-    from T = m instead: far fewer, smaller values when d is large.  p = 1
+    An x with no floor or round in it, which the bounds fold reports as
+    floor_free (and then p = 1), is a polynomial with integer
+    coefficients, so x(n + m) = x(n) mod m and the search starts from
+    T = m instead: far fewer, smaller values when d is large.  p = 1
     alone is not enough: floor((n^2 - n)/2) has p = 1 but period 4 mod 2.
     """
     if d == 0:
         return 1
-    if _has_division(x):
+    t = m
+    if not floor_free:
         t = coprime = m * math.lcm(*range(1, d + 1))
         while (g := math.gcd(coprime, m)) > 1:
             coprime //= g
         t //= coprime
-    else:
-        t = m
     span = d * p
     base = None
     pending = _prime_factors(m)
@@ -515,19 +515,6 @@ def _floor_period(x: Expr, d: int, p: int, m: int) -> int:
             t //= q
         pending = [q for q in passed if t % q == 0]
     return t
-
-
-def _has_division(e: Expr) -> bool:
-    """True if a floor or round occurs in e."""
-    if isinstance(e, (Const, Var)):
-        return False
-    if isinstance(e, Neg):
-        return _has_division(e.operand)
-    if isinstance(e, Pow):
-        return _has_division(e.base)
-    if isinstance(e, _Binary):
-        return _has_division(e.left) or _has_division(e.right)
-    return True
 
 
 def _prime_factors(n: int) -> list[int]:

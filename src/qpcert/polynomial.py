@@ -97,15 +97,12 @@ class Poly(_Value):
         """Degree of the leading term; -1 for the zero polynomial."""
         return len(self.num) - 1
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     @staticmethod
-    def monomial(k: int, c=1) -> "Poly":
-        """c * x^k."""
+    def monomial(k: int) -> "Poly":
+        """x^k."""
         if k < 0:
             raise ValueError("monomial exponent must be non-negative")
-        return Poly(*([0] * k + [c]))
+        return Poly(*([0] * k + [1]))
 
     def __call__(self, x) -> Fraction:
         """Evaluate at x by Horner's rule, exactly."""
@@ -158,7 +155,7 @@ class Poly(_Value):
     __rmul__ = __mul__
 
     def __repr__(self):
-        if self.is_zero():
+        if not self.num:
             return "Poly('0')"
         parts = []
         for i, c in reversed(list(enumerate(self.coeffs))):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from qpcert.closedform import (
     Sub,
     Var,
     _Column,
+    _bounds,
     expr_bounds,
     expr_eval,
     expr_to_qp,
@@ -27,7 +29,7 @@ from qpcert.closedform import (
 from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 
-from oracles import oracle_eval, reference_expr_bounds
+from oracles import _reference_has_division, oracle_eval, reference_expr_bounds
 
 ANDREWS = "round(n^2/12) - floor(n/4)*floor((n+2)/4)"
 
@@ -126,12 +128,17 @@ def test_division_only_inside_floor_round():
 
 
 def test_divisor_must_be_literal():
-    with pytest.raises(DivisorNotLiteral):
-        parse("floor(n/n)")
-    with pytest.raises(DivisorNotLiteral):
-        parse("floor(n/(4))")
-    with pytest.raises(DivisorNotLiteral):
-        parse("floor(n/0)")
+    # the parser's one fail path, raising the divisor's own error class
+    for text, offset, found in (
+        ("floor(n/n)", 8, "'n'"),
+        ("floor(n/(4))", 8, "'('"),
+        ("floor(n/0)", 8, "'0'"),
+        ("round(n^2/", 10, "end of input"),
+    ):
+        message = f"expected a positive integer literal divisor, found {found}"
+        with pytest.raises(DivisorNotLiteral, match=re.escape(message) + "$") as err:
+            parse(text)
+        assert err.value.offset == offset
 
 
 def test_eval_andrews_values():
@@ -322,8 +329,10 @@ WIDE_DIVISORS = st.sampled_from([*range(1, 13), 16, 24, 48, 60, 64, 243, 1000])
 @settings(max_examples=150, deadline=None)
 @given(_exprs(WIDE_DIVISORS, max_leaves=4))
 def test_expr_bounds_match_reference(e):
-    # the prime-at-a-time search with round folded to floor((2X + m)/(2m))
+    # the prime-at-a-time search with round folded to floor((2X + m)/(2m)),
+    # and the fold's floor-free flag against a walk of its own
     assert expr_bounds(e) == reference_expr_bounds(e)
+    assert _bounds(e)[2] == (not _reference_has_division(e))
 
 
 @pytest.mark.parametrize("text, walks", [
