@@ -83,6 +83,12 @@ class Certificate(_Value):
         return self.refutation is None
 
 
+# An index read off coeffs_at's lift costs 8 to 37 expanded coefficients
+# (CPython 3.11; parts 2,3,4, 1..5 and 997,1009): certify reads a window that way
+# only when its onset is over _FAR times the checked length.
+_FAR = 64
+
+
 def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Certificate:
     """Prove or refute: coefficient n of gf == expr(n) for all n >= onset.
 
@@ -109,12 +115,12 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     d, p = expr_bounds(expr)
     degree = max(gf.degree_bound(), d)
     period = math.lcm(gf.period_bound(), p)
-    s = gf.onset()
-    onset = s if onset_override is None else onset_override
-    window = _window(onset, degree, period)
-    tail = range(window.stop, max(window.stop, s + len(window)))
-    lhs = gf.coeffs(tail.stop - 1)[onset:]
-    rhs = expr_values(expr, range(onset, tail.stop))
+    onset = gf.onset() if onset_override is None else onset_override
+    window, tail = _ranges(gf, onset, degree, period)
+    checked = range(onset, tail.stop)
+    far = onset > _FAR * len(checked)
+    lhs = gf.coeffs_at(checked) if far else gf.coeffs(tail.stop - 1)[onset:]
+    rhs = expr_values(expr, checked)
     refutation = None
     if lhs != rhs:
         i = next(compress(count(), map(operator.ne, lhs, rhs)))
@@ -131,9 +137,10 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     )
 
 
-def _window(onset: int, degree: int, period: int) -> range:
-    """The finite-check window: degree + 1 indices per residue class mod period."""
-    return range(onset, onset + (degree + 1) * period)
+def _ranges(gf: RationalGF, onset: int, degree: int, period: int) -> tuple[range, range]:
+    """(window, tail): degree + 1 indices per class mod period, then to gf.onset() + as many."""
+    stop = onset + (degree + 1) * period
+    return range(onset, stop), range(stop, max(stop, gf.onset() + stop - onset))
 
 
 def rebuild_model(cert: Certificate) -> QuasiPoly:
@@ -187,13 +194,14 @@ def probe_indices(onset: int, n_max: int, probes: int, seed: int) -> list[int]:
 def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -> bool:
     """Empirical backstop for a Certified verdict: the identity, sampled.
 
-    False if cert.window is not the window that cert.onset,
-    cert.degree_bound and cert.period define.  Otherwise draws `probes`
-    deterministic indices in [cert.onset, n_max] and compares both sides
-    of the certified identity there: the exact coefficients against the
-    expression's values (one expr_values pass).  The coefficients come
-    from RationalGF.coeffs_at, which for a probe far past lcm(parts)
-    reads them off the denominator lifted to (1 - q^L)^k and expands the
+    False if cert.window and cert.tail are not certify's ranges for
+    cert's fields, or if the tail is not empty: certify never certifies
+    with one.  Otherwise draws `probes` deterministic indices in
+    [cert.onset, n_max] and compares both sides of the certified
+    identity there: the exact coefficients against the expression's
+    values (one expr_values pass).  The coefficients come from
+    RationalGF.coeffs_at, which for a probe far past lcm(parts) reads
+    them off the denominator lifted to (1 - q^L)^k and expands the
     series only up to the lifted numerator's degree, so n_max is not
     bounded by what an expansion can hold.  Neither side uses the window
     theorem or expr_bounds.  True means every probe agreed; with a
@@ -201,12 +209,13 @@ def soundness_probe(cert: Certificate, probes: int, n_max: int, seed: int = 0) -
     theorem, so False indicates a bug (or a tampered certificate).
     ValueError if cert is refuted, probes is negative or n_max is below
     cert.onset, even when probes is 0: probe_indices checks its
-    arguments, and is called before the window is compared.
+    arguments, and is called before the ranges are compared.
     """
     if not cert.certified:
         raise ValueError("soundness_probe requires a Certified certificate")
     indices = probe_indices(cert.onset, n_max, probes, seed)
-    if cert.window != _window(cert.onset, cert.degree_bound, cert.period):
+    ranges = _ranges(cert.gf, cert.onset, cert.degree_bound, cert.period)
+    if cert.tail or (cert.window, cert.tail) != ranges:
         return False
     return cert.gf.coeffs_at(indices) == expr_values(cert.expr, indices)
 

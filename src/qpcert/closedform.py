@@ -10,8 +10,8 @@ Grammar (whitespace insignificant, +/-/* left associative):
 
 Each node class carries its grammar level as `level`, 3 (an atom)
 unless stated above, and each binary one its symbol and int operator:
-the printer and the interpreter read them there, and the parser's one
-loop walks levels 0 and 1 through the _BINARY table of those classes.
+the printer, the interpreter and the parser read them there, the
+parser climbing precedence over _BINARY, its symbol-to-class map.
 
 INT and POSINT are runs of ASCII digits.  Unary minus binds tighter
 than '^', so -n^2 is (-n)^2; write -(n^2) for the negated square.
@@ -175,17 +175,12 @@ def _tokenize(text: str):
         ch = text[i]
         if ch in " \t\r\n":
             i += 1
-        elif ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
+        elif ch in _DIGITS or ch in _LETTERS:
+            run = _DIGITS if ch in _DIGITS else _LETTERS
+            j = i + 1
+            while j < len(text) and text[j] in run:
                 j += 1
-            toks.append(("int", int(text[i:j]), i))
-            i = j
-        elif ch in _LETTERS:
-            j = i
-            while j < len(text) and text[j] in _LETTERS:
-                j += 1
-            toks.append(("name", text[i:j], i))
+            toks.append(("int", int(text[i:j]), i) if run is _DIGITS else ("name", text[i:j], i))
             i = j
         elif ch in _SYMBOLS:
             toks.append(("sym", ch, i))
@@ -196,8 +191,8 @@ def _tokenize(text: str):
     return toks
 
 
-# The binary operators of each grammar level, lowest level first.
-_BINARY = ({"+": Add, "-": Sub}, {"*": Mul})
+# Every binary operator's node class; its precedence is the class's level.
+_BINARY = {"+": Add, "-": Sub, "*": Mul}
 
 
 class _Parser:
@@ -224,29 +219,31 @@ class _Parser:
             return self.advance()
         self.fail(f"'{sym}'")
 
+    def positive_int(self, expected: str, error=ExprSyntaxError) -> int:
+        kind, value, _ = self.peek()
+        if kind != "int" or value < 1:
+            self.fail(expected, error)
+        return self.advance()[1]
+
     def expr(self, level: int = 0) -> Expr:
-        # Operands come from direct calls: a paren level costs four frames
-        # (atom, expr(0), expr(1), factor), which bounds the nesting depth.
-        ops = _BINARY[level]
-        last = level + 1 == len(_BINARY)
-        node = self.factor() if last else self.expr(level + 1)
+        # Precedence climbing: an operator's right operand binds only higher
+        # levels, so + - * stay left associative.  A paren level costs three
+        # frames (atom, expr, factor), which bounds the nesting depth.
+        node = self.factor()
         while True:
             kind, value, _ = self.peek()
-            if kind != "sym" or value not in ops:
+            cls = _BINARY.get(value) if kind == "sym" else None
+            if cls is None or cls.level < level:
                 return node
             self.advance()
-            node = ops[value](node, self.factor() if last else self.expr(level + 1))
+            node = cls(node, self.expr(cls.level + 1))
 
     def factor(self) -> Expr:
         node = self.atom()
         kind, value, _ = self.peek()
         if kind == "sym" and value == "^":
             self.advance()
-            kind, value, offset = self.peek()
-            if kind != "int" or value < 1:
-                self.fail("a positive integer exponent")
-            self.advance()
-            node = Pow(node, value)
+            node = Pow(node, self.positive_int("a positive integer exponent"))
         return node
 
     def atom(self) -> Expr:
@@ -262,10 +259,7 @@ class _Parser:
             self.eat_sym("(")
             inner = self.expr()
             self.eat_sym("/")
-            kind, divisor, _ = self.peek()
-            if kind != "int" or divisor < 1:
-                self.fail("a positive integer literal divisor", DivisorNotLiteral)
-            self.advance()
+            divisor = self.positive_int("a positive integer literal divisor", DivisorNotLiteral)
             self.eat_sym(")")
             if value == "round":
                 return Round(inner, divisor)

@@ -108,8 +108,8 @@ class RationalGF(_Value):
         Lifts the denominator to (1 - q^L)^k, L = lcm(parts), when the
         lifted numerator R ends below the largest index and its sums,
         deg R // L + 1 terms per index, add up to no more than the
-        expansion up to that index would hold; otherwise reads that
-        expansion.  Either way the series is expanded to at most
+        expansion up to that index would hold; otherwise reads each value
+        off that expansion.  Either way the series is expanded to at most
         max(deg R + 1, len(indices) * (deg R // L + 1)) terms, however far
         out the indices lie.
         """
@@ -119,32 +119,17 @@ class RationalGF(_Value):
         top = max(indices)
         if min(indices) < 0:
             raise ValueError("indices must be non-negative")
-        lcm = self.period_bound()
-        deg_r = self.numerator.degree + len(self.parts) * lcm - sum(self.parts)
-        lifts = deg_r < top and len(indices) * (deg_r // lcm + 1) <= top + 1
-        return self._coeffs_lifted(indices, lcm if lifts else top + 1)
-
-    def _coeffs_lifted(self, indices: list[int], lift: int) -> list[int]:
-        """c_n for n in indices from r = (series * (1 - q^lift)^k) mod q^(m+1).
-
-        Then c_n = sum_j r[n - j*lift] * C(j + k - 1, k - 1) over
-        0 <= n - j*lift <= m.  That is exact for every lift >= 1 when
-        m = max(indices).  When lift is a multiple of lcm(parts), r is the
-        polynomial N * prod((1 - q^lift) / (1 - q^b)), so m stops at its
-        degree; an index whose residue class mod lift holds no index of r
-        is 0.  For lift = max(indices) + 1 the passes touch nothing and
-        c_n = r[n], the expansion itself.
-        """
-        k = len(self.parts)
-        m = max(indices)
-        if lift % self.period_bound() == 0:
-            m = max(0, min(m, self.numerator.degree + k * lift - sum(self.parts)))
-        r = self.coeffs(m)
-        for _ in range(k):
+        k, lift = len(self.parts), self.period_bound()
+        deg_r = self.numerator.degree + k * lift - sum(self.parts)
+        if deg_r >= top or len(indices) * (deg_r // lift + 1) > top + 1:
+            c = self.coeffs(top)
+            return [c[n] for n in indices]
+        r = self.coeffs(max(0, deg_r))
+        for _ in range(k):  # the series times (1 - q^L)^k, cut after q^(deg R), is R
             r[lift:] = map(sub, r[lift:], r[:-lift])
         out = []
         for n in indices:
-            j = max(0, (lift - 1 + n - m) // lift)  # first j with n - j*lift <= m
+            j = max(0, (lift - 1 + n - deg_r) // lift)  # first j with n - j*lift <= deg R
             i = n - j * lift
             out.append(sum(map(mul, r[i::-lift], map(math.comb, count(j + k - 1), repeat(k - 1))))
                        if i >= 0 else 0)

@@ -19,6 +19,7 @@ representation.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from ._value import _Value, _set
@@ -81,26 +82,21 @@ class QuasiPoly(_Value):
 
     # -- arithmetic: pointwise on the lcm refinement, then canonicalize --
 
-    def _pointwise(self, other, op) -> "QuasiPoly":
-        L = math.lcm(self.period, other.period)
+    @staticmethod
+    def _pointwise(op, left, right):
+        """op per residue class; an int is a constant, any other operand NotImplemented."""
+        left, right = (QuasiPoly.constant(x) if isinstance(x, int) else x for x in (left, right))
+        if not (isinstance(left, QuasiPoly) and isinstance(right, QuasiPoly)):
+            return NotImplemented
+        L = math.lcm(left.period, right.period)
         cons = tuple(
-            op(self.constituents[r % self.period], other.constituents[r % other.period])
+            op(left.constituents[r % left.period], right.constituents[r % right.period])
             for r in range(L)
         )
         return QuasiPoly(L, cons).canonical()
 
-    def _coerce(self, other):
-        if isinstance(other, QuasiPoly):
-            return other
-        if isinstance(other, int):
-            return QuasiPoly.constant(other)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._pointwise(other, lambda a, b: a + b)
+        return self._pointwise(operator.add, self, other)
 
     __radd__ = __add__
 
@@ -108,22 +104,13 @@ class QuasiPoly(_Value):
         return QuasiPoly(self.period, tuple(-p for p in self.constituents))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._pointwise(other, lambda a, b: a - b)
+        return self._pointwise(operator.sub, self, other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._pointwise(self, lambda a, b: a - b)
+        return self._pointwise(operator.sub, other, self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._pointwise(other, lambda a, b: a * b)
+        return self._pointwise(operator.mul, self, other)
 
     __rmul__ = __mul__
 

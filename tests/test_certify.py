@@ -231,11 +231,33 @@ def test_soundness_probe_evaluates_the_expression():
     ("window", range(0, 35)),
     ("onset", 1),
     ("degree_bound", 1),
+    # a refuted certificate with a tail, forged as certified: tail kept or emptied
+    ("refutation", None),
+    ("tail", range(0)),
 ])
 def test_soundness_probe_rejects_malformed_window(field, value):
     cert = certify(triangle_gf(), andrews_expr())
-    malformed = replace(cert, **{field: value})
+    if field in ("refutation", "tail"):
+        # (1 + q^2 - q^3)/(1 - q) has coefficients 1, 1, 2, 1, 1, ... and
+        # onset 3; from onset 0 the tail [1, 4) refutes "1" at n = 2, an
+        # index that no probe draws, so only the ranges can tell
+        cert = certify(RationalGF(Poly(1, 0, 1, -1), (1,)), parse("1"), onset_override=0)
+        assert (cert.tail, cert.refutation.n) == (range(1, 4), 2)
+        assert 2 not in probe_indices(0, 100000, 500, 0)
+    malformed = replace(cert, **{"refutation": None, field: value})
     assert not soundness_probe(malformed, 500, 100000, seed=0)
+
+
+def test_certify_far_onset_reads_lifted_coefficients(monkeypatch):
+    # the window [10^7, 10^7 + 36) comes off (1 - q^12)^3, whose numerator
+    # has degree 30, not off an expansion to 10^7
+    uptos, coeffs = [], RationalGF.coeffs
+    monkeypatch.setattr(RationalGF, "coeffs",
+                        lambda self, upto: uptos.append(upto) or coeffs(self, upto))
+    cert = certify(triangle_gf(), andrews_expr(), onset_override=10**7)
+    assert cert.certified
+    assert cert.window == range(10**7, 10**7 + 36)
+    assert uptos and max(uptos) <= 30
 
 
 def test_soundness_probe_far_past_any_expansion():

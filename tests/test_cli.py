@@ -171,11 +171,12 @@ def test_certify_too_deep_expression_exit_two(capsys, expr):
     assert err == "error: expression is nested too deeply\n"
 
 
-def test_certify_200_nested_parens_exit_zero(capsys):
-    # each paren level costs the parser a fixed number of frames; one more
-    # frame per level would put this depth past the recursion limit
+def test_certify_300_nested_parens_exit_zero(capsys):
+    # each paren level costs the parser three frames (atom, expr, factor),
+    # so about 330 levels fit under the recursion limit; a fourth frame per
+    # level would put this depth past it
     code, out, err = run(capsys, ["certify", "--parts", "1", "--shift", "0",
-                                  "--expr", "(" * 200 + "1" + ")" * 200])
+                                  "--expr", "(" * 300 + "1" + ")" * 300])
     assert code == 0
     assert err == ""
 
@@ -197,7 +198,6 @@ HUGE = str(10**20)
 
 
 @pytest.mark.parametrize("argv", [
-    ["certify", "--parts", "1", "--shift", "0", "--expr", "1", "--onset", HUGE],
     ["coeffs", "--parts", "1", "--shift", "0", "--upto", HUGE],
     ["certify", "--parts", "1", "--shift", HUGE, "--expr", "1"],
     ["certify", "--parts", HUGE, "--shift", "0", "--expr", "1"],
@@ -208,6 +208,16 @@ def test_index_too_large_to_allocate_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_certify_onset_past_address_space_certifies(capsys):
+    # a window far past its own length is read through coeffs_at, so an
+    # onset past the address space allocates no expansion
+    code, out, err = run(capsys, ["certify", "--parts", "1", "--shift", "0", "--expr", "1",
+                                  "--onset", HUGE])
+    assert (code, err) == (0, "")
+    assert f"window: [{HUGE}, {10**20 + 1}) (1 checks)\n" in out
+    assert out.startswith("verdict: certified\n")
 
 
 def test_certify_probe_reported(capsys):

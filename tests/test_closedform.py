@@ -116,6 +116,47 @@ def test_parse_error_reports_offset():
         assert err.value.offset == offset
 
 
+_ATOM = "an integer, 'n', '(', '-', 'floor' or 'round'"
+
+
+# The exact error class, text and offset for each kind of malformed input,
+# pinned so that a change to the parser's structure cannot change them.
+PARSE_ERRORS = [
+    ("n $ 2", ExprSyntaxError, 2, "unexpected character '$'"),
+    ("n²", ExprSyntaxError, 1, "unexpected character '²'"),
+    ("n n", ExprSyntaxError, 2, "unexpected trailing input 'n'"),
+    ("n)", ExprSyntaxError, 1, "unexpected trailing input ')'"),
+    ("floor(n/4)/2", ExprSyntaxError, 10, "unexpected trailing input '/'"),
+    ("n ^ 2 ^ 3", ExprSyntaxError, 6, "unexpected trailing input '^'"),
+    ("", ExprSyntaxError, 0, f"expected {_ATOM}, found end of input"),
+    ("n + ", ExprSyntaxError, 4, f"expected {_ATOM}, found end of input"),
+    ("*n", ExprSyntaxError, 0, f"expected {_ATOM}, found '*'"),
+    ("n*)", ExprSyntaxError, 2, f"expected {_ATOM}, found ')'"),
+    ("(n+1", ExprSyntaxError, 4, "expected ')', found end of input"),
+    ("floor n", ExprSyntaxError, 6, "expected '(', found 'n'"),
+    ("floor(n 4)", ExprSyntaxError, 8, "expected '/', found '4'"),
+    ("abc", ExprSyntaxError, 0, "unknown identifier 'abc' (expected 'n', 'floor' or 'round')"),
+    ("n ^ 0", ExprSyntaxError, 4, "expected a positive integer exponent, found '0'"),
+    ("n^", ExprSyntaxError, 2, "expected a positive integer exponent, found end of input"),
+    ("n^n", ExprSyntaxError, 2, "expected a positive integer exponent, found 'n'"),
+    ("n^(2)", ExprSyntaxError, 2, "expected a positive integer exponent, found '('"),
+    ("round(n/0)", DivisorNotLiteral, 8, "expected a positive integer literal divisor, found '0'"),
+    ("floor(n/n)", DivisorNotLiteral, 8, "expected a positive integer literal divisor, found 'n'"),
+    ("round(n^2/", DivisorNotLiteral, 10,
+     "expected a positive integer literal divisor, found end of input"),
+]
+
+
+@pytest.mark.parametrize("text, error, offset, message", PARSE_ERRORS,
+                         ids=[repr(case[0]) for case in PARSE_ERRORS])
+def test_parse_error_text_and_offset(text, error, offset, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    assert type(err.value) is error
+    assert str(err.value) == f"syntax error at offset {offset}: {message}"
+    assert err.value.offset == offset
+
+
 def test_unknown_identifier():
     with pytest.raises(ExprSyntaxError) as err:
         parse("floor(m/4)")
