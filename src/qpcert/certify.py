@@ -7,12 +7,13 @@ that agree on D+1 points in every residue class mod P are identical, so
 checking the window [onset, onset + (D+1)*P) proves the identity for all
 n >= onset.  A Certified verdict is therefore a theorem, not a sample.
 
-The window is checked in one pass: the coefficients come from the
-generating function's series expansion and the closed form's values from
-expr_values, the integer interpreter run over the whole window at once.
-The expression's side of D and P comes from expr_bounds, a fold over its
-AST in integers, so no quasi-polynomial is built to size the window, and
-no checked value comes from anything but the series and the interpreter.
+The window is checked in one pass: the coefficients come from
+RationalGF.coeffs_at, off the series expansion unless the window lies far
+out, and the closed form's values from expr_values, the integer
+interpreter run over the whole window at once.  The expression's side of
+D and P comes from expr_bounds, a fold over its AST in integers, so no
+quasi-polynomial is built to size the window, and no checked value comes
+from anything but the series and the interpreter.
 
 fit_quasipoly is the matching guessing procedure.  On each residue class
 mod L a quasi-polynomial's values form a polynomial sequence, and a
@@ -83,12 +84,6 @@ class Certificate(_Value):
         return self.refutation is None
 
 
-# An index read off coeffs_at's lift costs 8 to 37 expanded coefficients
-# (CPython 3.11; parts 2,3,4, 1..5 and 997,1009): certify reads a window that way
-# only when its onset is over _FAR times the checked length.
-_FAR = 64
-
-
 def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Certificate:
     """Prove or refute: coefficient n of gf == expr(n) for all n >= onset.
 
@@ -118,8 +113,7 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     onset = gf.onset() if onset_override is None else onset_override
     window, tail = _ranges(gf, onset, degree, period)
     checked = range(onset, tail.stop)
-    far = onset > _FAR * len(checked)
-    lhs = gf.coeffs_at(checked) if far else gf.coeffs(tail.stop - 1)[onset:]
+    lhs = gf.coeffs_at(checked)
     rhs = expr_values(expr, checked)
     refutation = None
     if lhs != rhs:

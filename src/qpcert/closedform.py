@@ -176,11 +176,11 @@ def _tokenize(text: str):
         if ch in " \t\r\n":
             i += 1
         elif ch in _DIGITS or ch in _LETTERS:
-            run = _DIGITS if ch in _DIGITS else _LETTERS
+            kind, run, value = ("int", _DIGITS, int) if ch in _DIGITS else ("name", _LETTERS, str)
             j = i + 1
             while j < len(text) and text[j] in run:
                 j += 1
-            toks.append(("int", int(text[i:j]), i) if run is _DIGITS else ("name", text[i:j], i))
+            toks.append((kind, value(text[i:j]), i))
             i = j
         elif ch in _SYMBOLS:
             toks.append(("sym", ch, i))

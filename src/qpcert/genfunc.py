@@ -39,6 +39,11 @@ from .polynomial import Poly
 # keep peak memory at that loop's level.
 _TILE_ROWS = 4096
 
+# An index read off the lifted denominator took as long as 7 to 35 expanded
+# coefficients (CPython 3.11, nine part sets from (1,) to (1..7) and (997,1009),
+# 50000 indices near 10^6); coeffs_at weighs it as its terms of R plus this many.
+_LIFT_COST = 10
+
 
 class EmptyParts(ValueError):
     """A rational generating function needs at least one denominator part."""
@@ -106,24 +111,25 @@ class RationalGF(_Value):
         """Exact coefficients c_n for each n in indices, in their order.
 
         Lifts the denominator to (1 - q^L)^k, L = lcm(parts), when the
-        lifted numerator R ends below the largest index and its sums,
-        deg R // L + 1 terms per index, add up to no more than the
-        expansion up to that index would hold; otherwise reads each value
-        off that expansion.  Either way the series is expanded to at most
-        max(deg R + 1, len(indices) * (deg R // L + 1)) terms, however far
-        out the indices lie.
+        lifted numerator R ends below the largest index and costs no more
+        than the expansion up to it, each index weighed as its deg R // L + 1
+        terms of R plus _LIFT_COST; otherwise reads each value off that
+        expansion, a range of step 1 as one slice.  Either way the series
+        is expanded to at most max(deg R + 1, len(indices) * (deg R // L + 1
+        + _LIFT_COST)) terms, however far out the indices lie.
         """
-        indices = list(indices)
+        run = isinstance(indices, range) and indices.step == 1
+        indices = indices if run else list(indices)
         if not indices:
             return []
-        top = max(indices)
-        if min(indices) < 0:
+        low, top = (indices[0], indices[-1]) if run else (min(indices), max(indices))
+        if low < 0:
             raise ValueError("indices must be non-negative")
         k, lift = len(self.parts), self.period_bound()
         deg_r = self.numerator.degree + k * lift - sum(self.parts)
-        if deg_r >= top or len(indices) * (deg_r // lift + 1) > top + 1:
+        if deg_r >= top or len(indices) * (deg_r // lift + 1 + _LIFT_COST) > top + 1:
             c = self.coeffs(top)
-            return [c[n] for n in indices]
+            return c[low:] if run else [c[n] for n in indices]
         r = self.coeffs(max(0, deg_r))
         for _ in range(k):  # the series times (1 - q^L)^k, cut after q^(deg R), is R
             r[lift:] = map(sub, r[lift:], r[:-lift])

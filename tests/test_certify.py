@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qpcert.certify import (
     InsufficientSamples,
+    Refutation,
     certify,
     fit_quasipoly,
     probe_indices,
@@ -17,6 +18,7 @@ from qpcert.polynomial import Poly
 from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
 
 from oracles import (
+    alcuin_count,
     fraction_agrees,
     frac_mul,
     grid_fit,
@@ -248,16 +250,48 @@ def test_soundness_probe_rejects_malformed_window(field, value):
     assert not soundness_probe(malformed, 500, 100000, seed=0)
 
 
-def test_certify_far_onset_reads_lifted_coefficients(monkeypatch):
-    # the window [10^7, 10^7 + 36) comes off (1 - q^12)^3, whose numerator
-    # has degree 30, not off an expansion to 10^7
+def _certify_expansions(monkeypatch, gf, expr, onset):
+    """certify(gf, expr, onset) and the expansion lengths it asks coeffs for."""
     uptos, coeffs = [], RationalGF.coeffs
     monkeypatch.setattr(RationalGF, "coeffs",
                         lambda self, upto: uptos.append(upto) or coeffs(self, upto))
-    cert = certify(triangle_gf(), andrews_expr(), onset_override=10**7)
+    cert = certify(gf, expr, onset_override=onset)
+    monkeypatch.undo()
+    return cert, uptos
+
+
+def test_certify_far_onset_reads_lifted_coefficients(monkeypatch):
+    # the window [10^7, 10^7 + 36) comes off (1 - q^12)^3, whose numerator
+    # has degree 30, not off an expansion to 10^7
+    cert, uptos = _certify_expansions(monkeypatch, triangle_gf(), andrews_expr(), 10**7)
     assert cert.certified
     assert cert.window == range(10**7, 10**7 + 36)
     assert uptos and max(uptos) <= 30
+
+
+def test_certify_far_onset_refutes_with_lifted_coefficients(monkeypatch):
+    # one more than Andrews's formula disagrees at the window's first index
+    n = 10**7
+    expr = parse(ANDREWS + " + 1")
+    cert, uptos = _certify_expansions(monkeypatch, triangle_gf(), expr, n)
+    assert uptos and max(uptos) <= 30
+    assert cert.refutation == Refutation(n, alcuin_count(n), oracle_eval(expr, n))
+    assert cert.refutation.rhs == cert.refutation.lhs + 1
+
+
+def test_certify_near_onset_reads_the_expansion(monkeypatch):
+    # lcm(97, 101) = 9797, so R has degree 2*9797 - 198 and each index of
+    # the window [30000, 49594) would sum 2 of its terms: 39188 terms in
+    # all, fewer than the 49594 coefficients of the expansion, but each
+    # lifted index costs ten expanded coefficients more than its terms
+    gf = RationalGF.from_parts((97, 101))
+    cert, uptos = _certify_expansions(monkeypatch, gf, parse("0"), 30000)
+    assert cert.window == range(30000, 49594)
+    assert uptos == [49593]
+    # from the triangle's onset the window is read off the expansion too
+    cert, uptos = _certify_expansions(monkeypatch, triangle_gf(), andrews_expr(), 300)
+    assert cert.certified
+    assert uptos == [335]
 
 
 def test_soundness_probe_far_past_any_expansion():

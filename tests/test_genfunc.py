@@ -12,7 +12,7 @@ from qpcert.polynomial import Poly, interpolate
 from qpcert.quasipoly import QuasiPoly
 from qpcert.triangles import andrews_expr
 
-from oracles import ALCUIN_PREFIX, naive_series_coeffs
+from oracles import ALCUIN_PREFIX, alcuin_count, naive_series_coeffs
 
 
 def triangle_gf() -> RationalGF:
@@ -234,8 +234,23 @@ def test_coeffs_at_matches_truncated_series_oracle(case):
 
 def test_coeffs_at_empty_and_negative_indices():
     assert triangle_gf().coeffs_at([]) == []
+    assert triangle_gf().coeffs_at(range(5, 5)) == []
     with pytest.raises(ValueError):
         triangle_gf().coeffs_at([3, -1])
+    with pytest.raises(ValueError):
+        triangle_gf().coeffs_at(range(-1, 5))
+
+
+@pytest.mark.parametrize("indices", [
+    range(0, 36), range(300, 336), range(10**6, 10**6 + 36),
+    range(3, 40, 2), range(40, 2, -1), range(10**6 + 35, 10**6 - 1, -1),
+])
+def test_coeffs_at_reads_a_range_as_its_list(indices):
+    # a range of step 1 is sliced off the expansion; any range gives the
+    # values of the same indices passed as a list
+    gf = triangle_gf()
+    assert gf.coeffs_at(indices) == gf.coeffs_at(list(indices))
+    assert gf.coeffs_at(indices) == [alcuin_count(n) for n in indices]
 
 
 def _expansions(monkeypatch, gf, indices):
