@@ -6,9 +6,11 @@ the parts) compares and hashes equal for the same multiset in any order.
 Dividing a power series by one factor (1 - q^b) is the recurrence
 c_n += c_{n-b}, i.e. a prefix sum along each residue class mod b, so the
 coefficient stream is the numerator after one such pass per part and
-never leaves the integers.  Each pass runs its sums in C-level loops
-(itertools.accumulate, map(add)) over whichever axis of the b-wide
-layout is shorter, so its Python-level steps number about
+never leaves the integers.  The first pass covers only the numerator
+plus one period: past the numerator, N / (1 - q^b) repeats with period
+b, so the rest of it is copied, not summed.  Each pass runs its sums in
+C-level loops (itertools.accumulate, map(add)) over whichever axis of the
+b-wide layout is shorter, so its Python-level steps number about
 sqrt(upto + 1), not upto.
 
 Single coefficients far out come from the lifted denominator instead:
@@ -26,23 +28,46 @@ the onset are what make finite-window identity certification sound.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, cycle, islice, repeat
 from operator import add, mul, sub
 
 from ._value import _Value, _set
 from .polynomial import Poly
 
-# Rows per tile in RationalGF.coeffs.  Summing each column over the whole
+# Rows per tile in _divide.  Summing each column over the whole
 # series (c[r::b] at once) allocates and frees ints in strided order: for
 # parts 1..7 to 10^6 that raised peak memory from 69 to 108 MiB and ran
 # slower than the old element-by-element loop.  Tiles of this many rows
 # keep peak memory at that loop's level.
 _TILE_ROWS = 4096
 
-# An index read off the lifted denominator took as long as 7 to 35 expanded
-# coefficients (CPython 3.11, nine part sets from (1,) to (1..7) and (997,1009),
-# 50000 indices near 10^6); coeffs_at weighs it as its terms of R plus this many.
+# An index read off the lifted denominator took as long as 8 to 37 expanded
+# coefficients, and 110 to 130 for (1,), whose expansion is a copy with no pass
+# (CPython 3.11, nine part sets from (1,) to (1..7) and (997,1009), 50000
+# indices near 10^6); coeffs_at weighs it as its terms of R plus this many.
 _LIFT_COST = 10
+
+
+def _divide(c: list[int], b: int) -> None:
+    """Divide the series c by (1 - q^b) in place, cut after len(c) terms.
+
+    The pass c_n += c_(n-b) is a prefix sum along each residue class mod b.
+    Laid out as rows of b, it runs down each of the b columns when
+    b*b <= len(c), one tile of _TILE_ROWS rows at a time, each column
+    starting from the total the tile above left in its last row; otherwise
+    it adds each row onto the row after it, in order.  Either way it takes
+    at most min(b, len(c)/b) + len(c)/_TILE_ROWS Python-level steps.
+    """
+    size = len(c)
+    if b * b <= size:
+        step = _TILE_ROWS * b
+        for s in range(0, size, step):
+            for t in range(s, min(s + b, size)):
+                # c[t] is final; this sums c[t + b], ..., c[t + step]
+                c[t:t + step + 1:b] = accumulate(c[t + b:t + step + 1:b], initial=c[t])
+    else:
+        for s in range(b, size, b):
+            c[s:s + b] = map(add, c[s:s + b], c[s - b:s])
 
 
 class EmptyParts(ValueError):
@@ -80,31 +105,29 @@ class RationalGF(_Value):
         """Exact power-series coefficients c_0..c_upto.
 
         Starts from the numerator's coefficients and divides out one
-        factor (1 - q^b) at a time with the in-place pass
-        c_n += c_{n-b}, so every value is an integer by construction.
-        That pass is a prefix sum along each residue class mod b.  Laid
-        out as rows of b, it runs down each of the b columns when
-        b*b <= upto + 1, one tile of _TILE_ROWS rows at a time, each
-        column starting from the total the tile above left in its last
-        row; otherwise it adds each row onto the row after it, in
-        order.  A part thus takes at most
+        factor (1 - q^b) at a time with _divide's in-place pass
+        c_n += c_(n-b), so every value is an integer by construction.
+        The largest part goes first, over the numerator plus one period
+        only: once the numerator ends, that quotient repeats its last b
+        values, so the rest of the series is those values copied, not
+        summed.  Each other part then passes over the whole series.  With
+        k parts that is at most k - 1 whole passes plus one over
+        len(numerator) + b terms; a whole pass takes at most
         min(b, (upto + 1)/b) + (upto + 1)/_TILE_ROWS Python-level steps.
         """
         if upto < 0:
             raise ValueError("upto must be non-negative")
         size = upto + 1
-        c = list(self.numerator.num[:size])
-        c += [0] * (size - len(c))
-        for b in self.parts:
-            if b * b <= size:
-                step = _TILE_ROWS * b
-                for s in range(0, size, step):
-                    for t in range(s, min(s + b, size)):
-                        # c[t] is final; this sums c[t + b], ..., c[t + step]
-                        c[t:t + step + 1:b] = accumulate(c[t + b:t + step + 1:b], initial=c[t])
-            else:
-                for s in range(b, size, b):
-                    c[s:s + b] = map(add, c[s:s + b], c[s - b:s])
+        *rest, b = self.parts
+        num = self.numerator.num
+        head = min(size, len(num) + b)
+        c = list(num[:head])
+        c += [0] * (head - len(c))
+        _divide(c, b)
+        if head < size:  # past the numerator c_n = c_(n-b): repeat the last b values
+            c += islice(cycle(c[head - b:]), size - head)
+        for b in rest:
+            _divide(c, b)
         return c
 
     def coeffs_at(self, indices) -> list[int]:

@@ -162,6 +162,49 @@ def test_coeffs_across_tiles_match_closed_forms():
             == expr_values(andrews_expr(), range(upto + 1)))
 
 
+# The largest part is divided out over the numerator plus one period only,
+# len(num) + b terms, and the rest of that quotient is its last b values
+# repeated; these cases sit on either side of where that head ends.
+@pytest.mark.parametrize("parts, num, upto", [
+    ((2, 5), [1, -2, 3], 7),            # len(num) + b == upto + 1: no repeat
+    ((2, 5), [1, -2, 3], 8),            # one below upto + 1: one value repeated
+    ((2, 5), [1, -2, 3], 6),            # one above upto + 1: head cut to the series
+    ((3,), [2, 0, 0, 0, 0, 0, 1], 40),  # columns, the only part
+    ((3,), [1, 1], 1000),               # rows, then a long repeat
+    ((2, 3), [], 20),                   # zero numerator
+    ((1, 4), list(range(-20, 21)), 9),  # numerator longer than the series
+    ((3, 3, 3, 8, 8), [1, 5], 9),       # largest part repeated: head == upto + 1
+    ((3, 3, 3, 8, 8), [1, 5], 200),
+])
+def test_coeffs_repeats_the_first_quotient_past_its_head(parts, num, upto):
+    gf = RationalGF(Poly(*num), parts)
+    assert gf.coeffs(upto) == naive_series_coeffs(parts, num, upto)
+
+
+# A head of 28 terms over part 3 runs down columns, one tile of 1-3 rows
+# (3-9 terms) at a time.
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_coeffs_head_spans_several_tiles(monkeypatch, rows):
+    monkeypatch.setattr(genfunc, "_TILE_ROWS", rows)
+    parts, num = (1, 3), [(-1) ** i * (i + 1) for i in range(25)]
+    assert RationalGF(Poly(*num), parts).coeffs(60) == naive_series_coeffs(parts, num, 60)
+
+
+def test_coeffs_divides_the_largest_part_over_its_head_only(monkeypatch):
+    passes = []
+    divide = genfunc._divide
+
+    def recording(c, b):
+        passes.append(len(c))
+        divide(c, b)
+
+    monkeypatch.setattr(genfunc, "_divide", recording)
+    gf = triangle_gf()
+    assert gf.coeffs(10**4) == expr_values(andrews_expr(), range(10**4 + 1))
+    head = [n for n in passes if n <= len(gf.numerator.num) + max(gf.parts)]
+    assert len(head) == 1 and sorted(passes) == head + [10**4 + 1] * 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=50),
