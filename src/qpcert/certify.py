@@ -140,26 +140,25 @@ def _ranges(gf: RationalGF, onset: int, degree: int, period: int) -> tuple[range
 def rebuild_model(cert: Certificate) -> QuasiPoly:
     """Quasi-polynomial determined by the certificate's own window data.
 
-    Interpolates the checked coefficients per residue class mod
-    cert.period.  For an honest certificate this reconstructs the unique
-    degree <= D quasi-polynomial behind the sequence, the one that
-    expr_to_qp(cert.expr) is equivalent to; certify itself never builds
-    that quasi-polynomial.
+    Interpolates the window's coefficients, read through coeffs_at as
+    certify reads them, per residue class mod cert.period.  For an honest
+    certificate this reconstructs the unique degree <= D quasi-polynomial
+    behind the sequence, the one that expr_to_qp(cert.expr) is equivalent
+    to; certify itself never builds that quasi-polynomial.
     """
-    start, stop = cert.window.start, cert.window.stop
-    return _fit_residues(cert.gf.coeffs(stop - 1), start, stop, cert.period)
+    return _fit_residues(cert.gf.coeffs_at(cert.window), cert.window.start, cert.period)
 
 
-def _fit_residues(values, start: int, stop: int, period: int) -> QuasiPoly:
-    """Quasi-polynomial interpolating values[n] for n in [start, stop).
+def _fit_residues(values, start: int, period: int) -> QuasiPoly:
+    """Quasi-polynomial interpolating values[i] at n = start + i.
 
-    Constituent r interpolates the indices n = r mod period; every class
-    needs at least one index, i.e. stop - start >= period.
+    Constituent r interpolates values[i::period], i = (r - start) mod
+    period; every class needs a value, i.e. len(values) >= period.
     """
     constituents = []
     for r in range(period):
-        first = start + (r - start) % period  # first index = r mod period
-        constituents.append(interpolate(values[first:stop:period], first, period))
+        i = (r - start) % period
+        constituents.append(interpolate(values[i::period], start + i, period))
     return QuasiPoly(period, tuple(constituents))
 
 
@@ -288,7 +287,7 @@ def fit_quasipoly(samples, d_max: int, l_max: int, holdout: int) -> FitResult:
         period, degree, verified = l_max, d_max, False
     train = (degree + 1) * period
     return FitResult(
-        model=_fit_residues(samples, 0, train, period),
+        model=_fit_residues(samples[:train], 0, period),
         degree=degree,
         period=period,
         holdout_verified=verified,

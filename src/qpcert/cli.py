@@ -238,21 +238,19 @@ def _csv_fields(result: dict) -> str:
     """The csv body of the nested result dict, final newline included.
 
     A field,value header, then one row per leaf: its dotted key, and an
-    int's decimal string, a str, an int or str list joined by spaces,
-    true or false, or empty for None.  Rows are not quoted: every key
-    and word is fixed and every other str a decimal integer or "p/q"
-    string, so no field holds a comma, a double quote, a carriage return
-    or a newline, and no row is one empty field: csv would quote none of
-    them.
+    int's decimal string, a str, a str list joined by spaces (csv bodies
+    hold no int list, and one raises TypeError), true or false, or empty
+    for None.  Rows are not quoted: every key and word is fixed and every
+    other str a decimal integer or "p/q" string, so no field holds a
+    comma, a double quote, a carriage return or a newline, and no row is
+    one empty field: csv would quote none of them.
     """
     def walk(prefix, value):
         if isinstance(value, dict):
             for k, v in value.items():
                 yield from walk(f"{prefix}.{k}" if prefix else k, v)
-        elif value and isinstance(value, list) and isinstance(value[0], str):
-            yield f"{prefix},{' '.join(value)}"
         elif isinstance(value, list):
-            yield f"{prefix},{_join_ints(value, ' ')}"
+            yield f"{prefix},{' '.join(value)}"
         elif isinstance(value, bool):
             yield f"{prefix},{'true' if value else 'false'}"
         else:

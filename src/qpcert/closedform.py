@@ -329,7 +329,7 @@ def expr_eval(e: Expr, n: int) -> int:
 
 
 def _entrywise(op, left, right):
-    """op over a column and a column or int, on either side; else NotImplemented."""
+    """op over a column and a column or int; an int on the left only for __rsub__."""
     if isinstance(left, _Column) and isinstance(right, _Column):
         return _Column(list(map(op, left.values, right.values)))
     if isinstance(right, int):
@@ -344,8 +344,9 @@ class _Column:
 
     + - * take a column or an int on either side, unary - negates, and
     ** k and // m take an int k or m; each applies the int operator to
-    every entry with map.  Any other operand raises TypeError, so a
-    mistake cannot turn into sequence concatenation or repetition.
+    every entry with map; + and * commute, so their reflected forms are
+    aliases.  Any other operand raises TypeError, so a mistake cannot
+    turn into sequence concatenation or repetition.
     """
 
     __slots__ = ("values",)
@@ -356,8 +357,7 @@ class _Column:
     def __add__(self, other):
         return _entrywise(operator.add, self, other)
 
-    def __radd__(self, other):
-        return _entrywise(operator.add, other, self)
+    __radd__ = __add__
 
     def __sub__(self, other):
         return _entrywise(operator.sub, self, other)
@@ -368,8 +368,7 @@ class _Column:
     def __mul__(self, other):
         return _entrywise(operator.mul, self, other)
 
-    def __rmul__(self, other):
-        return _entrywise(operator.mul, other, self)
+    __rmul__ = __mul__
 
     def __neg__(self):
         return _Column(list(map(operator.neg, self.values)))

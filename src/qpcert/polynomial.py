@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._value import _Value, _set
+from ._value import _rebuild, _Value, _set
 
 
 def horner(num, x):
@@ -32,8 +32,9 @@ def horner(num, x):
 def _poly(num, den: int) -> "Poly":
     """Canonical Poly equal to num/den; num holds ints and den >= 1.
 
-    The private constructor behind all arithmetic: it skips the
-    per-coefficient type checks of Poly(*coeffs).
+    The private constructor behind all arithmetic: it skips the type
+    checks of Poly(*coeffs) and, as pickle and copy do, builds the value
+    with _rebuild.  An empty or all-zero num gives () over 1.
     """
     n = len(num)
     while n and not num[n - 1]:
@@ -46,10 +47,7 @@ def _poly(num, den: int) -> "Poly":
         if g != 1:
             num = tuple(c // g for c in num)
             den //= g
-    p = object.__new__(Poly)
-    _set(p, "num", num)
-    _set(p, "den", den)
-    return p
+    return _rebuild(Poly, (num, den))
 
 
 def _operand(x):
@@ -131,7 +129,7 @@ class Poly(_Value):
         return _poly([-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        if not isinstance(other, (Poly, int, Fraction)):
+        if _operand(other) is None:
             return NotImplemented
         return self + (-other)
 
@@ -143,9 +141,7 @@ class Poly(_Value):
         if b is None:
             return NotImplemented
         (a, da), (b, db) = (self.num, self.den), b
-        if not a or not b:
-            return Poly()
-        out = [0] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)  # a zero factor leaves it all zero
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):

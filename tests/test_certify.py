@@ -250,20 +250,21 @@ def test_soundness_probe_rejects_malformed_window(field, value):
     assert not soundness_probe(malformed, 500, 100000, seed=0)
 
 
-def _certify_expansions(monkeypatch, gf, expr, onset):
-    """certify(gf, expr, onset) and the expansion lengths it asks coeffs for."""
+def _expansions(monkeypatch, call, *args, **kwargs):
+    """call(*args, **kwargs) and the expansion lengths it asks coeffs for."""
     uptos, coeffs = [], RationalGF.coeffs
     monkeypatch.setattr(RationalGF, "coeffs",
                         lambda self, upto: uptos.append(upto) or coeffs(self, upto))
-    cert = certify(gf, expr, onset_override=onset)
+    out = call(*args, **kwargs)
     monkeypatch.undo()
-    return cert, uptos
+    return out, uptos
 
 
 def test_certify_far_onset_reads_lifted_coefficients(monkeypatch):
     # the window [10^7, 10^7 + 36) comes off (1 - q^12)^3, whose numerator
     # has degree 30, not off an expansion to 10^7
-    cert, uptos = _certify_expansions(monkeypatch, triangle_gf(), andrews_expr(), 10**7)
+    cert, uptos = _expansions(monkeypatch, certify, triangle_gf(), andrews_expr(),
+                              onset_override=10**7)
     assert cert.certified
     assert cert.window == range(10**7, 10**7 + 36)
     assert uptos and max(uptos) <= 30
@@ -273,7 +274,7 @@ def test_certify_far_onset_refutes_with_lifted_coefficients(monkeypatch):
     # one more than Andrews's formula disagrees at the window's first index
     n = 10**7
     expr = parse(ANDREWS + " + 1")
-    cert, uptos = _certify_expansions(monkeypatch, triangle_gf(), expr, n)
+    cert, uptos = _expansions(monkeypatch, certify, triangle_gf(), expr, onset_override=n)
     assert uptos and max(uptos) <= 30
     assert cert.refutation == Refutation(n, alcuin_count(n), oracle_eval(expr, n))
     assert cert.refutation.rhs == cert.refutation.lhs + 1
@@ -285,11 +286,12 @@ def test_certify_near_onset_reads_the_expansion(monkeypatch):
     # all, fewer than the 49594 coefficients of the expansion, but each
     # lifted index costs ten expanded coefficients more than its terms
     gf = RationalGF.from_parts((97, 101))
-    cert, uptos = _certify_expansions(monkeypatch, gf, parse("0"), 30000)
+    cert, uptos = _expansions(monkeypatch, certify, gf, parse("0"), onset_override=30000)
     assert cert.window == range(30000, 49594)
     assert uptos == [49593]
     # from the triangle's onset the window is read off the expansion too
-    cert, uptos = _certify_expansions(monkeypatch, triangle_gf(), andrews_expr(), 300)
+    cert, uptos = _expansions(monkeypatch, certify, triangle_gf(), andrews_expr(),
+                              onset_override=300)
     assert cert.certified
     assert uptos == [335]
 
@@ -316,10 +318,17 @@ def test_soundness_probe_requires_certified():
         soundness_probe(cert, 10, 100, seed=0)
 
 
-def test_rebuild_model_matches_expression():
-    cert = certify(triangle_gf(), andrews_expr())
-    model = rebuild_model(cert)
+@pytest.mark.parametrize("onset", [None, 300, 10**7])
+def test_rebuild_model_matches_expression(monkeypatch, onset):
+    # the window is read through coeffs_at, as certify reads it: at 10^7
+    # off (1 - q^12)^3, whose numerator has degree 30, not off an
+    # expansion to 10^7; every onset gives the model of the GF's own onset
+    cert = certify(triangle_gf(), andrews_expr(), onset_override=onset)
+    model, uptos = _expansions(monkeypatch, rebuild_model, cert)
     assert model.equivalent(expr_to_qp(cert.expr))
+    assert model == rebuild_model(certify(triangle_gf(), andrews_expr()))
+    if onset == 10**7:
+        assert uptos and max(uptos) <= 30
 
 
 def _identity_gf(expr, period, degree):

@@ -444,6 +444,7 @@ def test_column_rejects_unsupported_operands():
     col = _Column([1, 2, 3])
     assert (2 * col).values == [2, 4, 6]
     assert (col * 2).values == [2, 4, 6]
+    assert (1 + col).values == (col + 1).values == [2, 3, 4]
     assert (10 - col).values == [9, 8, 7]
     assert (col - col).values == [0, 0, 0]
     assert (-col).values == [-1, -2, -3]

@@ -76,6 +76,11 @@ def test_nonpositive_part_rejected():
         RationalGF.from_parts((2, 0), shift=0)
 
 
+def test_negative_shift_rejected():
+    with pytest.raises(ValueError):
+        RationalGF.from_parts((2, 3, 4), shift=-1)
+
+
 def test_fractional_numerator_rejected():
     with pytest.raises(ValueError):
         RationalGF(Poly(Fraction(1, 2)), (2,))

@@ -43,6 +43,28 @@ def test_mul_denominator_factors():
 
 def test_mul_by_zero_annihilates():
     assert Poly(1, 2, 3) * Poly() == Poly()
+    # the product of a zero factor is the zero polynomial over 1
+    for a, b in ((Poly(), Poly(Fraction(1, 3), 2)), (Poly(), Poly()), (0, Poly(1, 2)),
+                 (Poly(Fraction(1, 2)), Fraction(0))):
+        assert (a * b).num == () and (a * b).den == 1
+
+
+def test_arithmetic_rejects_other_operands():
+    # Poly takes exactly the operands _operand reads: Poly, int, Fraction
+    for other in (1.5, "x", [1], None):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(Poly(1, 1), other)
+            with pytest.raises(TypeError):
+                op(other, Poly(1, 1))
+    assert Poly(1, 1) - Fraction(1, 2) == Poly(Fraction(1, 2), 1)
+    assert 3 - Poly(1, 1) == Poly(2, -1)
+
+
+def test_monomial_rejects_negative_exponent():
+    assert Poly.monomial(0) == Poly(1)
+    with pytest.raises(ValueError):
+        Poly.monomial(-1)
 
 
 def test_eval_simple():
