@@ -461,11 +461,16 @@ def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool) -> int:
     for n in [0, d*p), a block of d*p values over every class at once.
     With d = 0, x is constant on each class and T is 1.
 
-    For each prime power q^e of m, q^(e+s) with s = floor(log_q d) is
-    such a T for x mod q^e: C(q^N, l) has at least N - s factors q for
-    l <= d, so C(k + q^N, i) - C(k, i) = sum_l C(k, i-l)*C(q^N, l) is a
-    multiple of q^e.  Their product, the part of m*lcm(1..d) made of m's
-    primes, is a T for x mod m, so the least T divides it.
+    The search starts from t = gcd(m*lcm(1..s), m^(s+1)), the part of
+    m*lcm(1..s) made of m's primes, a T that the least T divides.  For
+    each prime power q^e of m, q^(e+f) with f = floor(log_q d) is a T
+    for x mod q^e: C(q^N, l) has at least N - f factors q for l <= d, so
+    C(k + q^N, i) - C(k, i) = sum_l C(k, i-l)*C(q^N, l) is a multiple of
+    q^e.  Their product is t with s = d.  An x with no floor or round in
+    it, which the bounds fold reports as floor_free (and then p = 1), is
+    a polynomial with integer coefficients, so x(n + m) = x(n) mod m and
+    s = 0, t = m: far fewer, smaller values when d is large.  p = 1 alone
+    is not enough: floor((n^2 - n)/2) has p = 1 but period 4 mod 2.
 
     Periods are the multiples of the least one, so for a T that the least
     T0 divides, T/q is a T iff q divides T/T0: one test per prime, which
@@ -478,26 +483,16 @@ def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool) -> int:
     The rounds end at the T that testing one prime at a time ends at, the
     least one (but see _prime_factors), and the passes fall from 1 + the
     sum of the primes' test counts to 1 + the largest of them.
-
-    An x with no floor or round in it, which the bounds fold reports as
-    floor_free (and then p = 1), is a polynomial with integer
-    coefficients, so x(n + m) = x(n) mod m and the search starts from
-    T = m instead: far fewer, smaller values when d is large.  p = 1
-    alone is not enough: floor((n^2 - n)/2) has p = 1 but period 4 mod 2.
     """
     if d == 0:
         return 1
-    t = m
-    if not floor_free:
-        t = coprime = m * math.lcm(*range(1, d + 1))
-        while (g := math.gcd(coprime, m)) > 1:
-            coprime //= g
-        t //= coprime
+    s = 0 if floor_free else d
+    t = math.gcd(m * math.lcm(*range(1, s + 1)), m ** (s + 1))
     span = d * p
     base = None
     pending = _prime_factors(m)
     while pending:
-        blocks = [range(s, s + span) for s in (p * (t // q) for q in pending)]
+        blocks = [range(a, a + span) for a in (p * (t // q) for q in pending)]
         if base is None:
             blocks.insert(0, range(span))
         res = [v % m for v in expr_values(x, chain.from_iterable(blocks))]

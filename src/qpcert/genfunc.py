@@ -41,11 +41,12 @@ from .polynomial import Poly
 # keep peak memory at that loop's level.
 _TILE_ROWS = 4096
 
-# An index read off the lifted denominator took as long as 8 to 37 expanded
-# coefficients, and 110 to 130 for (1,), whose expansion is a copy with no pass
-# (CPython 3.11, nine part sets from (1,) to (1..7) and (997,1009), 50000
-# indices near 10^6); coeffs_at weighs it as its terms of R plus this many.
-_LIFT_COST = 10
+# coeffs_at weighs an expanded coefficient as the k passes that build it (for
+# one part, a copy past the numerator) and a lifted index as its terms of R plus
+# this many: one took 32 to 99 passes beyond its terms, and 141 to 146 for (1,)
+# (CPython 3.11, two runs over nine part sets from (1,) to (1..7) and
+# (997,1009), 50000 indices near 10^6).
+_LIFT_COST = 60
 
 
 def _divide(c: list[int], b: int) -> None:
@@ -135,11 +136,12 @@ class RationalGF(_Value):
 
         Lifts the denominator to (1 - q^L)^k, L = lcm(parts), when the
         lifted numerator R ends below the largest index and costs no more
-        than the expansion up to it, each index weighed as its deg R // L + 1
-        terms of R plus _LIFT_COST; otherwise reads each value off that
-        expansion, a range of step 1 as one slice.  Either way the series
-        is expanded to at most max(deg R + 1, len(indices) * (deg R // L + 1
-        + _LIFT_COST)) terms, however far out the indices lie.
+        than the expansion up to it: each index weighs its deg R // L + 1
+        terms of R plus _LIFT_COST, each expanded coefficient the k passes
+        of coeffs.  Otherwise reads each value off that expansion, a range
+        of step 1 as one slice.  Either way the series is expanded to at
+        most max(deg R + 1, len(indices) * (deg R // L + 1 + _LIFT_COST) / k)
+        terms, however far out the indices lie.
         """
         run = isinstance(indices, range) and indices.step == 1
         indices = indices if run else list(indices)
@@ -150,7 +152,7 @@ class RationalGF(_Value):
             raise ValueError("indices must be non-negative")
         k, lift = len(self.parts), self.period_bound()
         deg_r = self.numerator.degree + k * lift - sum(self.parts)
-        if deg_r >= top or len(indices) * (deg_r // lift + 1 + _LIFT_COST) > top + 1:
+        if deg_r >= top or len(indices) * (deg_r // lift + 1 + _LIFT_COST) > (top + 1) * k:
             c = self.coeffs(top)
             return c[low:] if run else [c[n] for n in indices]
         r = self.coeffs(max(0, deg_r))

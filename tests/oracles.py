@@ -16,13 +16,14 @@ difference tables replace: it builds every candidate model by Lagrange
 interpolation over Fraction tuples (frac_interpolate), where the library
 interpolates in Newton form on integer numerators, and tests each
 held-out sample with frac_eval.  reference_expr_bounds is the
-bounds fold with the plain period search: one expr_values pass per
-prime test, one prime of the divisor at a time, and round(X/m) folded
-as floor((2X + m)/(2m)), where expr_bounds tests all primes in rounds
-and searches a round from X mod m.  It shares exactly two functions with
-expr_bounds: expr_values, which computes the values the search tests,
-and _prime_factors, the divisor's primes; the search, the floor/round
-check that picks its start value and the round fold are its own.
+bounds fold with the plainest period search: T = 1, 2, ... in turn, one
+expr_values pass each, until p*T is a period, and round(X/m) folded as
+floor((2X + m)/(2m)), where expr_bounds divides a start value that the
+least T divides by the divisor's primes, all primes in rounds, and
+searches a round from X mod m.  It shares exactly one function with
+expr_bounds, expr_values, which computes the values the search tests;
+it knows nothing of the start value or the divisor's primes, so it
+checks that the least T is found without the theory that finds it.
 alcuin_count counts triangles by perimeter with the parity form, without
 Andrews's formula or a loop.  replace is the tests' dataclasses.replace:
 it rebuilds a value through its class's constructor.
@@ -32,9 +33,7 @@ import math
 from fractions import Fraction
 
 from qpcert.certify import FitResult
-from qpcert.closedform import (
-    Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, _prime_factors, expr_values,
-)
+from qpcert.closedform import Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, expr_values
 from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 
@@ -118,12 +117,12 @@ def oracle_eval(expr, n: int) -> int:
 
 
 def reference_expr_bounds(e) -> tuple:
-    """(degree bound, period bound) of e, one prime test per expr_values pass.
+    """(degree bound, period bound) of e, one candidate T per expr_values pass.
 
     The same fold as expr_bounds, but a round(X/m) is bounded as
-    floor((2X + m)/(2m)), and each floor's period search divides the
-    start value by one prime of the divisor at a time, each test its own
-    pass over a block of d*p values against the base block at 0.
+    floor((2X + m)/(2m)), and each floor's period is p times the first
+    T = 1, 2, ... whose block of d*p values at p*T matches the base
+    block at 0 mod the divisor.
     """
     if isinstance(e, Const):
         return 0, 1
@@ -151,16 +150,9 @@ def _reference_floor_period(x, d: int, p: int, m: int) -> int:
         return [v % m for v in expr_values(x, range(start, start + d * p))]
 
     base = residues(0)
-    if _reference_has_division(x):
-        t = coprime = m * math.lcm(*range(1, d + 1))
-        while (g := math.gcd(coprime, m)) > 1:
-            coprime //= g
-        t //= coprime
-    else:
-        t = m
-    for q in _prime_factors(m):
-        while t % q == 0 and residues(p * (t // q)) == base:
-            t //= q
+    t = 1
+    while residues(p * t) != base:
+        t += 1
     return t
 
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qpcert.certify import (
     InsufficientSamples,
@@ -12,7 +12,7 @@ from qpcert.certify import (
     rebuild_model,
     soundness_probe,
 )
-from qpcert.closedform import expr_eval, expr_to_qp, parse
+from qpcert.closedform import expr_bounds, expr_eval, expr_to_qp, expr_values, parse
 from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
 from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
@@ -283,8 +283,8 @@ def test_certify_far_onset_refutes_with_lifted_coefficients(monkeypatch):
 def test_certify_near_onset_reads_the_expansion(monkeypatch):
     # lcm(97, 101) = 9797, so R has degree 2*9797 - 198 and each index of
     # the window [30000, 49594) would sum 2 of its terms: 39188 terms in
-    # all, fewer than the 49594 coefficients of the expansion, but each
-    # lifted index costs ten expanded coefficients more than its terms
+    # all, fewer than the expansion's two passes over 49594 coefficients,
+    # but each lifted index weighs _LIFT_COST passes more than its terms
     gf = RationalGF.from_parts((97, 101))
     cert, uptos = _expansions(monkeypatch, certify, gf, parse("0"), onset_override=30000)
     assert cert.window == range(30000, 49594)
@@ -339,8 +339,8 @@ def _identity_gf(expr, period, degree):
     """
     size = (degree + 1) * period
     num = [oracle_eval(expr, n) for n in range(size)]
-    for _ in range(degree + 1):
-        num = frac_mul(num, (1,) + (0,) * (period - 1) + (-1,))[:size]
+    for _ in range(degree + 1):  # times (1 - q^period), cut below q^size
+        num = [c - (num[i - period] if i >= period else 0) for i, c in enumerate(num)]
     return RationalGF(Poly(*num), (period,) * (degree + 1))
 
 
@@ -351,6 +351,39 @@ def _bump(gf, k, stop):
         den = frac_mul(den, (1,) + (0,) * (b - 1) + (-1,))
     return RationalGF(gf.numerator + Poly(*frac_mul((0,) * k + (1,) * (stop - k), den)),
                       gf.parts)
+
+
+# divisors with a prime power q^e whose period search needs the factor
+# q^floor(log_q d) of lcm(1..d) at degree d >= 3: 2^3, 3^2, 2^4, 3^3, 2^4*3
+_DEEP_DIVISORS = st.sampled_from([8, 9, 16, 27, 48])
+
+
+@st.composite
+def _floor_towers(draw):
+    """A floor or round, by a _DEEP_DIVISORS divisor, of a floor or round of a cubic or quartic."""
+    degree = draw(st.integers(3, 4))
+    poly = " + ".join(f"{draw(st.integers(1 if k == degree else 0, 3))}*n^{k}"
+                      for k in range(degree, 0, -1))
+    outer, inner = draw(st.lists(st.sampled_from(["floor", "round"]), min_size=2, max_size=2))
+    return parse(f"{outer}({inner}(({poly})/{draw(st.integers(2, 6))})/{draw(_DEEP_DIVISORS)})")
+
+
+@example(parse("floor(floor((3*n^3 + n)/6)/8)"))
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_floor_towers(), _exprs(st.one_of(st.integers(1, 6), _DEEP_DIVISORS))))
+def test_gf_on_expr_bounds_agrees_past_its_window(expr):
+    # the adversarial GF: on parts (p,)*(d+1) from expr_bounds, its
+    # coefficients are expr's on the window [0, (d+1)*p) and from there on
+    # follow the quasi-polynomial of degree d and period p that the window
+    # determines, so it always certifies; it agrees with expr further out
+    # only if (d, p) really bound expr (with the search started from 8*3,
+    # the fixed case gets p = 24 and first departs at n = 96)
+    d, p = expr_bounds(expr)
+    assume((d + 1) * p <= 2000)
+    cert = certify(_identity_gf(expr, p, d), expr)
+    assert cert.certified
+    past = range(cert.window.stop, cert.window.stop + 3 * p)
+    assert cert.gf.coeffs_at(past) == expr_values(expr, past)
 
 
 @pytest.mark.parametrize("text", BATTERY)

@@ -358,9 +358,24 @@ def test_conversion_soundness_random(e):
     ("round((-n^2 - 5)/7)", (2, 7)),
     ("round((-n^2 - 5)/8)", (2, 4)),
     ("round(-floor(n/3)^2/10)", (2, 30)),
+    # a floor of degree 3 inside: 2^(3+1) = 16 is the least T mod 8, where
+    # a search from 8*3 rather than 8*lcm(1, 2, 3) would stop at 8
+    ("floor(floor((3*n^3 + n)/6)/8)", (3, 48)),
 ])
 def test_expr_bounds_fixed_cases(text, bounds):
     assert expr_bounds(parse(text)) == bounds
+
+
+def test_expr_bounds_least_period_of_every_linear_floor():
+    # k*n mod m has least period m/gcd(k, m): for every divisor k of every
+    # m <= 120 the search must divide each prime power of m out of its
+    # start as far as that period allows, each prime tested against the
+    # base block (6 with k = 3: the test of 6/2 fails, that of 6/3 passes)
+    # and every prime found (4, 9, 25 and 49 with k = their root)
+    for m in range(1, 121):
+        for k in range(1, m + 1):
+            if m % k == 0:
+                assert expr_bounds(parse(f"floor({k}*n/{m})")) == (1, m // k), (k, m)
 
 
 # divisors with many, repeated and large prime factors, for the period search
@@ -370,7 +385,7 @@ WIDE_DIVISORS = st.sampled_from([*range(1, 13), 16, 24, 48, 60, 64, 243, 1000])
 @settings(max_examples=150, deadline=None)
 @given(_exprs(WIDE_DIVISORS, max_leaves=4))
 def test_expr_bounds_match_reference(e):
-    # the prime-at-a-time search with round folded to floor((2X + m)/(2m)),
+    # the search over T = 1, 2, ... with round folded to floor((2X + m)/(2m)),
     # and the fold's floor-free flag against a walk of its own
     assert expr_bounds(e) == reference_expr_bounds(e)
     assert _bounds(e)[2] == (not _reference_has_division(e))

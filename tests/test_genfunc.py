@@ -320,6 +320,20 @@ def test_coeffs_at_lifts_the_triangle_denominator(monkeypatch):
     assert _expansions(monkeypatch, triangle_gf(), indices) == [30]
 
 
+def test_coeffs_at_weighs_one_part_by_its_copy(monkeypatch):
+    # over parts (1,) the expansion is one copy past the numerator, over a
+    # hundred times cheaper a coefficient than a lifted index: 50000
+    # indices near 10^6 read it, and 500 probes to 10^30 still lift
+    gf = RationalGF.from_parts((1,))
+    indices = list(range(10**6, 10**6 + 50000))
+    assert _expansions(monkeypatch, gf, indices) == [indices[-1]]
+    uptos, coeffs = [], RationalGF.coeffs
+    monkeypatch.setattr(RationalGF, "coeffs",
+                        lambda self, upto: uptos.append(upto) or coeffs(self, upto))
+    assert gf.coeffs_at(probe_indices(0, 10**30, 500, 0)) == [1] * 500
+    assert uptos == [0]
+
+
 def test_coeffs_at_reads_expansion_for_long_numerator(monkeypatch):
     # 500 indices times 20000 terms of R each would outrun the expansion
     gf = RationalGF(Poly(*range(1, 20001)), (1,))
