@@ -26,7 +26,9 @@ it knows nothing of the start value or the divisor's primes, so it
 checks that the least T is found without the theory that finds it.
 alcuin_count counts triangles by perimeter with the parity form, without
 Andrews's formula or a loop.  replace is the tests' dataclasses.replace:
-it rebuilds a value through its class's constructor.
+it rebuilds a value through its class's constructor.  expansions is no
+oracle but a spy: it records the expansion lengths a call asks
+RationalGF.coeffs for.
 """
 
 import math
@@ -34,6 +36,7 @@ from fractions import Fraction
 
 from qpcert.certify import FitResult
 from qpcert.closedform import Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, expr_values
+from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 
@@ -46,6 +49,16 @@ def replace(value, **changes):
     """
     fields = {name: getattr(value, name) for name in type(value).__match_args__}
     return type(value)(**{**fields, **changes})
+
+
+def expansions(monkeypatch, call, *args, **kwargs):
+    """call(*args, **kwargs) and the expansion lengths it asks coeffs for."""
+    uptos, coeffs = [], RationalGF.coeffs
+    with monkeypatch.context() as patch:
+        patch.setattr(RationalGF, "coeffs",
+                      lambda self, upto: uptos.append(upto) or coeffs(self, upto))
+        out = call(*args, **kwargs)
+    return out, uptos
 
 
 def naive_triangle_count(n: int) -> int:

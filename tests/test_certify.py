@@ -19,6 +19,7 @@ from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
 
 from oracles import (
     alcuin_count,
+    expansions,
     fraction_agrees,
     frac_mul,
     grid_fit,
@@ -250,21 +251,11 @@ def test_soundness_probe_rejects_malformed_window(field, value):
     assert not soundness_probe(malformed, 500, 100000, seed=0)
 
 
-def _expansions(monkeypatch, call, *args, **kwargs):
-    """call(*args, **kwargs) and the expansion lengths it asks coeffs for."""
-    uptos, coeffs = [], RationalGF.coeffs
-    monkeypatch.setattr(RationalGF, "coeffs",
-                        lambda self, upto: uptos.append(upto) or coeffs(self, upto))
-    out = call(*args, **kwargs)
-    monkeypatch.undo()
-    return out, uptos
-
-
 def test_certify_far_onset_reads_lifted_coefficients(monkeypatch):
     # the window [10^7, 10^7 + 36) comes off (1 - q^12)^3, whose numerator
     # has degree 30, not off an expansion to 10^7
-    cert, uptos = _expansions(monkeypatch, certify, triangle_gf(), andrews_expr(),
-                              onset_override=10**7)
+    cert, uptos = expansions(monkeypatch, certify, triangle_gf(), andrews_expr(),
+                             onset_override=10**7)
     assert cert.certified
     assert cert.window == range(10**7, 10**7 + 36)
     assert uptos and max(uptos) <= 30
@@ -274,7 +265,7 @@ def test_certify_far_onset_refutes_with_lifted_coefficients(monkeypatch):
     # one more than Andrews's formula disagrees at the window's first index
     n = 10**7
     expr = parse(ANDREWS + " + 1")
-    cert, uptos = _expansions(monkeypatch, certify, triangle_gf(), expr, onset_override=n)
+    cert, uptos = expansions(monkeypatch, certify, triangle_gf(), expr, onset_override=n)
     assert uptos and max(uptos) <= 30
     assert cert.refutation == Refutation(n, alcuin_count(n), oracle_eval(expr, n))
     assert cert.refutation.rhs == cert.refutation.lhs + 1
@@ -286,12 +277,12 @@ def test_certify_near_onset_reads_the_expansion(monkeypatch):
     # all, fewer than the expansion's two passes over 49594 coefficients,
     # but each lifted index weighs _LIFT_COST passes more than its terms
     gf = RationalGF.from_parts((97, 101))
-    cert, uptos = _expansions(monkeypatch, certify, gf, parse("0"), onset_override=30000)
+    cert, uptos = expansions(monkeypatch, certify, gf, parse("0"), onset_override=30000)
     assert cert.window == range(30000, 49594)
     assert uptos == [49593]
     # from the triangle's onset the window is read off the expansion too
-    cert, uptos = _expansions(monkeypatch, certify, triangle_gf(), andrews_expr(),
-                              onset_override=300)
+    cert, uptos = expansions(monkeypatch, certify, triangle_gf(), andrews_expr(),
+                             onset_override=300)
     assert cert.certified
     assert uptos == [335]
 
@@ -324,7 +315,7 @@ def test_rebuild_model_matches_expression(monkeypatch, onset):
     # off (1 - q^12)^3, whose numerator has degree 30, not off an
     # expansion to 10^7; every onset gives the model of the GF's own onset
     cert = certify(triangle_gf(), andrews_expr(), onset_override=onset)
-    model, uptos = _expansions(monkeypatch, rebuild_model, cert)
+    model, uptos = expansions(monkeypatch, rebuild_model, cert)
     assert model.equivalent(expr_to_qp(cert.expr))
     assert model == rebuild_model(certify(triangle_gf(), andrews_expr()))
     if onset == 10**7:

@@ -1,6 +1,9 @@
+import csv
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from enum import IntEnum
@@ -23,10 +26,6 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def canonical_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_coeffs_text(capsys):
@@ -398,51 +397,21 @@ def test_paper_json_carries_both_arrays(capsys):
     assert doc["result"]["equal"] is True
 
 
-def test_json_round_trips_byte_identical(capsys, tmp_path):
-    values = tmp_path / "values.txt"
-    values.write_text(" ".join(str(alcuin_count(n)) for n in range(50)))
-    for argv in (
-        ["coeffs", "--parts", "2,3,4", "--shift", "3", "--upto", "12", "--format", "json"],
-        ["certify", "--parts", "2,3,4", "--shift", "3", "--expr", ANDREWS, "--format", "json"],
-        ["triangles", "list", "--perimeter", "12", "--format", "json"],
-        ["paper", "--format", "json"],
-        ["fit", "--values", str(values), "--dmax", "3", "--lmax", "12", "--format", "json"],
-        ["triangles", "count", "--perimeter", "12", "--format", "json"],
-    ):
-        _, out, _ = run(capsys, argv)
-        assert canonical_json(json.loads(out)) == out
-
-
-def test_json_contains_no_floats(capsys):
-    _, out, _ = run(
-        capsys,
-        ["certify", "--parts", "2,3,4", "--shift", "3", "--expr", ANDREWS,
-         "--probe", "10", "--format", "json"],
-    )
-
-    def scan(value):
-        assert not isinstance(value, float)
-        if isinstance(value, dict):
-            for v in value.values():
-                scan(v)
-        elif isinstance(value, list):
-            for v in value:
-                scan(v)
-
-    scan(json.loads(out))
-
-
 def test_formats_carry_identical_coefficients(capsys):
-    argv = ["coeffs", "--parts", "2,3,4", "--shift", "3", "--upto", "12"]
-    _, text_out, _ = run(capsys, argv)
-    _, json_out, _ = run(capsys, argv + ["--format", "json"])
-    _, csv_out, _ = run(capsys, argv + ["--format", "csv"])
-    from_text = text_out.split()
-    from_json = json.loads(json_out)["result"]["coefficients"]
-    csv_lines = csv_out.strip().splitlines()
-    assert csv_lines[0] == "n,coefficient"
-    from_csv = [line.split(",")[1] for line in csv_lines[1:]]
-    assert from_text == from_json == from_csv
+    # each form prints its ints in one %-format pass: text, json and csv
+    # must carry the same decimal strings, the csv rows numbered 0..upto
+    for argv in (
+        ["coeffs", "--parts", "2,3,4", "--shift", "3", "--upto", "12"],
+        ["coeffs", "--parts", "1,2,3,4,5,6,7", "--shift", "0", "--upto", "2000"],
+    ):
+        _, text_out, _ = run(capsys, argv)
+        _, json_out, _ = run(capsys, argv + ["--format", "json"])
+        _, csv_out, _ = run(capsys, argv + ["--format", "csv"])
+        from_json = json.loads(json_out)["result"]["coefficients"]
+        header, *rows = csv.reader(io.StringIO(csv_out, newline=""))
+        assert header == ["n", "coefficient"]
+        assert [n for n, _ in rows] == list(map(str, range(int(argv[-1]) + 1)))
+        assert text_out.split() == from_json == [c for _, c in rows]
 
 
 def test_schema_version_present_everywhere(capsys):
@@ -515,6 +484,34 @@ def test_command_call_skips_full_parser(capsys, monkeypatch, argv):
     monkeypatch.setattr(build_parser(), "parse_known_args", unused)
     assert main(argv) in (0, 1)
     assert capsys.readouterr().out
+
+
+def _entry_point():
+    """The function that pyproject.toml installs as the qpcert script."""
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    module, name = re.search(r'^qpcert = "([\w.]+):(\w+)"$', text, re.MULTILINE).groups()
+    return getattr(importlib.import_module(module), name)
+
+
+# argv -> exit code: a command call, help from each parser, and an
+# argument left over for the full parser to report
+ENTRY_POINT_CALLS = {
+    "command": (_CERTIFY_N, 1),
+    "help": (["--help"], 0),
+    "certify-help": (["certify", "--help"], 0),
+    "stray": ([*_CERTIFY_N, "stray"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_POINT_CALLS.values(), ids=ENTRY_POINT_CALLS)
+def test_entry_point_reads_sys_argv(monkeypatch, argv, code):
+    # the installed script calls main() with no argument, so main reads
+    # sys.argv[1:]; sys.argv[0], the script's path, must not show
+    expected = _run(monkeypatch, argv, None)
+    assert expected[0] == code
+    assert _entry_point() is main
+    monkeypatch.setattr("sys.argv", ["venv/bin/qpcert", *argv])
+    assert _run(monkeypatch, None, None) == expected
 
 
 # strings heavy in what json escapes: quotes, backslashes, control

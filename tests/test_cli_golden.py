@@ -4,7 +4,8 @@ Each case is one `qpcert` invocation (argv, optional stdin) with its
 expected exit code and exact stdout.  The cases cover every subcommand
 in text, json and csv form, so any change to rendering, to the
 coefficient computation or to interpolation that alters a single
-output byte fails here.
+output byte fails here.  Each json document is also checked against the
+stdlib encoder's canonical form.
 """
 
 import contextlib
@@ -26,6 +27,33 @@ def test_cli_output_is_byte_identical(case, capsys, monkeypatch):
     code = main(case["argv"])
     assert code == case["exit"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def canonical_json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _scalars(value):
+    """Every value in a json document that is neither an object nor an array."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _scalars(v)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c["argv"][-1] == "json"],
+                         ids=lambda c: c["name"])
+def test_json_documents_are_canonical(case, monkeypatch):
+    # the writer prints what the stdlib encoder prints with sort_keys and
+    # indent 2, on every Python; and since a bare "count": 3 has the same
+    # layout as "count": "3", every scalar must be a str, a bool or null
+    _, out, _ = _run(monkeypatch, case["argv"], case["stdin"])
+    doc = json.loads(out)
+    assert canonical_json(doc) == out
+    assert all(isinstance(v, (str, bool, type(None))) for v in _scalars(doc))
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c["argv"][-1] == "csv"],

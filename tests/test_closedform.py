@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -380,13 +381,25 @@ def test_expr_bounds_least_period_of_every_linear_floor():
 
 # divisors with many, repeated and large prime factors, for the period search
 WIDE_DIVISORS = st.sampled_from([*range(1, 13), 16, 24, 48, 60, 64, 243, 1000])
+# divisors with a repeated prime, which a least period mod m can hold to a
+# lower power than m does, or lack
+REPEATED_PRIMES = st.sampled_from([4, 8, 9, 12, 18, 25, 27])
+
+
+@st.composite
+def _linear_floors(draw):
+    """floor((k*n + c)/m) with gcd(k, m) > 1, whose period m/gcd(k, m) is below m."""
+    m = draw(REPEATED_PRIMES)
+    k = draw(st.sampled_from([k for k in range(2, 2 * m) if math.gcd(k, m) > 1]))
+    return Floor(Add(Mul(Const(k), Var()), Const(draw(st.integers(0, 9)))), m)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_exprs(WIDE_DIVISORS, max_leaves=4))
+@given(_linear_floors() | _exprs(REPEATED_PRIMES | WIDE_DIVISORS, max_leaves=4))
 def test_expr_bounds_match_reference(e):
     # the search over T = 1, 2, ... with round folded to floor((2X + m)/(2m)),
-    # and the fold's floor-free flag against a walk of its own
+    # and the fold's floor-free flag against a walk of its own; half the
+    # draws are linear floors whose least T lacks some power of m's primes
     assert expr_bounds(e) == reference_expr_bounds(e)
     assert _bounds(e)[2] == (not _reference_has_division(e))
 

@@ -12,7 +12,7 @@ from qpcert.polynomial import Poly, interpolate
 from qpcert.quasipoly import QuasiPoly
 from qpcert.triangles import andrews_expr
 
-from oracles import ALCUIN_PREFIX, alcuin_count, naive_series_coeffs
+from oracles import ALCUIN_PREFIX, alcuin_count, expansions, naive_series_coeffs
 
 
 def triangle_gf() -> RationalGF:
@@ -301,48 +301,38 @@ def test_coeffs_at_reads_a_range_as_its_list(indices):
     assert gf.coeffs_at(indices) == [alcuin_count(n) for n in indices]
 
 
-def _expansions(monkeypatch, gf, indices):
-    """The expansion lengths one gf.coeffs_at call asks coeffs for."""
-    uptos, coeffs = [], RationalGF.coeffs
-    monkeypatch.setattr(RationalGF, "coeffs",
-                        lambda self, upto: uptos.append(upto) or coeffs(self, upto))
-    values = gf.coeffs_at(indices)
-    monkeypatch.undo()
+_PROBES = probe_indices(0, 100000, 500, 0)
+
+# name -> (gf, indices, the expansion lengths gf.coeffs_at(indices) asks
+# coeffs for): a call whose largest index lies past the lifted numerator
+# R's degree reads R, one whose largest index does not reads the expansion
+COEFFS_AT_REGIMES = {
+    # R = q^3 (1 - q^12)^3 / ((1 - q^2)(1 - q^3)(1 - q^4)) has degree
+    # 3 + 36 - 9 = 30, so each probe sums 3 terms of R
+    "triangle-lifts": (triangle_gf(), _PROBES, [30]),
+    # over parts (1,) the expansion is one copy past the numerator, over a
+    # hundred times cheaper a coefficient than a lifted index
+    "one-part-copy": (RationalGF.from_parts((1,)), list(range(10**6, 10**6 + 50000)),
+                      [10**6 + 49999]),
+    # 500 indices times 20000 terms of R each would outrun the expansion
+    "long-numerator": (RationalGF(Poly(*range(1, 20001)), (1,)), _PROBES, [max(_PROBES)]),
+    # lcm(997, 1009) = 1005973 > 10^5, so R ends past every index
+    "lcm-past-indices": (RationalGF.from_parts((997, 1009)), _PROBES, [max(_PROBES)]),
+}
+
+
+@pytest.mark.parametrize("gf, indices, uptos", COEFFS_AT_REGIMES.values(),
+                         ids=COEFFS_AT_REGIMES)
+def test_coeffs_at_regime(monkeypatch, gf, indices, uptos):
+    values, asked = expansions(monkeypatch, gf.coeffs_at, indices)
+    assert asked == uptos
     series = gf.coeffs(max(indices))
     assert values == [series[n] for n in indices]
-    return uptos
-
-
-def test_coeffs_at_lifts_the_triangle_denominator(monkeypatch):
-    # 500 probes to 10^5: R = q^3 (1 - q^12)^3 / ((1 - q^2)(1 - q^3)(1 - q^4))
-    # has degree 3 + 36 - 9 = 30, so each probe sums 3 terms of R
-    indices = probe_indices(0, 100000, 500, 0)
-    assert _expansions(monkeypatch, triangle_gf(), indices) == [30]
 
 
 def test_coeffs_at_weighs_one_part_by_its_copy(monkeypatch):
-    # over parts (1,) the expansion is one copy past the numerator, over a
-    # hundred times cheaper a coefficient than a lifted index: 50000
-    # indices near 10^6 read it, and 500 probes to 10^30 still lift
+    # the copy wins only near its indices: 500 probes to 10^30 over parts
+    # (1,) still lift, reading the single term of R
     gf = RationalGF.from_parts((1,))
-    indices = list(range(10**6, 10**6 + 50000))
-    assert _expansions(monkeypatch, gf, indices) == [indices[-1]]
-    uptos, coeffs = [], RationalGF.coeffs
-    monkeypatch.setattr(RationalGF, "coeffs",
-                        lambda self, upto: uptos.append(upto) or coeffs(self, upto))
-    assert gf.coeffs_at(probe_indices(0, 10**30, 500, 0)) == [1] * 500
-    assert uptos == [0]
-
-
-def test_coeffs_at_reads_expansion_for_long_numerator(monkeypatch):
-    # 500 indices times 20000 terms of R each would outrun the expansion
-    gf = RationalGF(Poly(*range(1, 20001)), (1,))
-    indices = probe_indices(0, 100000, 500, 0)
-    assert _expansions(monkeypatch, gf, indices) == [max(indices)]
-
-
-def test_coeffs_at_reads_expansion_when_lcm_exceeds_indices(monkeypatch):
-    # lcm(997, 1009) = 1005973 > 10^5, so R ends past every index
-    gf = RationalGF.from_parts((997, 1009))
-    indices = probe_indices(0, 100000, 500, 0)
-    assert _expansions(monkeypatch, gf, indices) == [max(indices)]
+    assert expansions(monkeypatch, gf.coeffs_at, probe_indices(0, 10**30, 500, 0)) == (
+        [1] * 500, [0])

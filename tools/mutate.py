@@ -4,13 +4,14 @@
     python tools/mutate.py                          # every target below
     python tools/mutate.py closedform._floor_period # one or more targets
 
-A target is module.function or module.Class.method in src/qpcert.  Each
-mutant is one small edit to one target, made on its AST: an operator
-swapped (+ -, * //, and or, ...), an integer constant moved by +-1 or a
-bool flipped, a range() bound moved by +-1, or a comparison flipped
-(< <=, == !=, ...); EXTRA adds hand-written ones.  Each mutant is
-written into a copy of src/ and tests/ in a temporary directory, the
-target's lines replaced by the mutated function, and TESTS run there
+A target is module.function or module.Class.method in src/qpcert, listed
+in TARGETS with the tests its mutants run against.  Each mutant is one
+small edit to one target, made on its AST: an operator swapped (+ -,
+* //, and or, ...), an integer constant moved by +-1 or a bool flipped,
+a range() bound moved by +-1, or a comparison flipped (< <=, == !=,
+...); EXTRA adds hand-written ones.  Each mutant is written into a copy
+of src/ and tests/ in a temporary directory, the target's lines
+replaced by the mutated function, and the target's tests run there
 with -x and a fixed hypothesis seed.  The mutant is killed if the run
 fails or exceeds its time limit.  A survivor listed in EQUIVALENT is
 reported with the reason it changes no certificate; any other survivor
@@ -35,19 +36,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-TARGETS = (
-    "closedform._bounds",
-    "closedform._floor_period",
-    "closedform._prime_factors",
-    "certify._ranges",
-    "genfunc.RationalGF.onset",
-    "genfunc.RationalGF.degree_bound",
-    "genfunc.RationalGF.period_bound",
-)
-
 # test_certify.py holds the adversarial-GF test, which certifies a GF
 # built on expr_bounds' own (degree, period) and reads it past the window
-TESTS = ("tests/test_closedform.py", "tests/test_certify.py")
+_BOUNDS = ("tests/test_closedform.py", "tests/test_certify.py")
+# test_genfunc.py checks every expansion against the truncated-series
+# oracle, over tiles, heads and both branches of _divide
+_SERIES = ("tests/test_genfunc.py",)
+
+# target -> the tests each of its mutants runs against
+TARGETS = {
+    "closedform._bounds": _BOUNDS,
+    "closedform._floor_period": _BOUNDS,
+    "closedform._prime_factors": _BOUNDS,
+    "certify._ranges": _BOUNDS,
+    "genfunc.RationalGF.onset": _BOUNDS,
+    "genfunc.RationalGF.degree_bound": _BOUNDS,
+    "genfunc.RationalGF.period_bound": _BOUNDS,
+    "genfunc._divide": _SERIES,
+    "genfunc.RationalGF.coeffs": _SERIES,
+}
 
 # target -> [(label, source text in the target, replacement)]
 EXTRA = {
@@ -68,6 +75,11 @@ _CAP_MOVED = ("moves the trial-division cap, which only a cofactor of 2^30 or mo
               "reaches; listing it whole loses minimality, not a period")
 _PAST_ROOT = ("trial division runs on to 2^16 past sqrt(n); no q that divides the "
               "reduced n is composite, so the same primes are found")
+
+_DIVIDE = "genfunc._divide: "
+_BRANCH = ("moves the branch point between the two loop orders, which compute "
+           "the same pass for every b")
+_EMPTY_TAIL = "adds one start at or past the series' end, whose slices are empty"
 
 # label -> why the mutant changes no certificate
 EQUIVALENT = {
@@ -93,6 +105,15 @@ EQUIVALENT = {
     _STEP + "q += 1 if q == 2 else 1":
         "q steps through every integer; a composite q never divides the reduced "
         "n, so the same primes are found",
+    _DIVIDE + "b * b <= size -> b * b < size": _BRANCH,
+    _DIVIDE + "b * b <= size -> b // b <= size": _BRANCH,
+    _DIVIDE + "range(0, size, step) -> range(0, size + 1, step)": _EMPTY_TAIL,
+    _DIVIDE + "range(b, size, b) -> range(b, size + 1, b)": _EMPTY_TAIL,
+    _DIVIDE + "range(0, size, step) -> range(0, size - 1, step)":
+        "drops a last tile only where it starts at the last coefficient, which "
+        "is final already: each tile's first row is the one the tile above ends on",
+    "genfunc.RationalGF.coeffs: head < size -> head <= size":
+        "at head == size the copy repeats zero values",
 }
 
 _SWAPS = {
@@ -197,11 +218,11 @@ def _limit():
     resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
 
 
-def _run(work: Path, timeout: float | None) -> str:
-    """'passed', 'failed' or 'timed out': TESTS in work, stopping at the first failure."""
+def _run(work: Path, tests, timeout: float | None) -> str:
+    """'passed', 'failed' or 'timed out': tests in work, stopping at the first failure."""
     shutil.rmtree(work / ".hypothesis", ignore_errors=True)  # no examples carried between mutants
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", *TESTS]
+           "--hypothesis-seed=0", *tests]
     # no .pyc: a mutant of the same size written within the same second
     # would otherwise be read from the bytecode of the one before it
     env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -215,17 +236,22 @@ def _run(work: Path, timeout: float | None) -> str:
 
 def main(argv) -> int:
     targets = argv or list(TARGETS)
+    unknown = [target for target in targets if target not in TARGETS]
+    if unknown:
+        raise SystemExit(f"not in TARGETS: {', '.join(unknown)}")
     with tempfile.TemporaryDirectory(prefix="qpcert-mutate-") as tmp:
         work = Path(tmp)
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy(ROOT / "pyproject.toml", work)
-        start = time.perf_counter()
-        if _run(work, None) != "passed":
-            print("the unmutated tests fail; no mutant was run")
-            return 2
-        timeout = max(30.0, 3 * (time.perf_counter() - start))
+        timeouts = {}
+        for tests in dict.fromkeys(TARGETS[target] for target in targets):
+            start = time.perf_counter()
+            if _run(work, tests, None) != "passed":
+                print(f"the unmutated {' '.join(tests)} fail; no mutant was run")
+                return 2
+            timeouts[tests] = max(30.0, 3 * (time.perf_counter() - start))
         unlisted = []
         for target in targets:
             module, qualname = target.split(".", 1)
@@ -233,7 +259,7 @@ def main(argv) -> int:
             pristine = path.read_text()
             for label, source in mutants(target):
                 _apply(path, qualname, source)
-                outcome = _run(work, timeout)
+                outcome = _run(work, TARGETS[target], timeouts[TARGETS[target]])
                 path.write_text(pristine)
                 if outcome == "passed" and label in EQUIVALENT:
                     outcome = f"survived, equivalent: {EQUIVALENT[label]}"
