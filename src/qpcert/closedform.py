@@ -31,7 +31,7 @@ that support them:
 expr_bounds gets a degree bound and a period of that quasi-polynomial
 without building it: a fold over the AST that reads each floor's or
 round's period off its operand's integer values mod the divisor, one
-expr_values pass per round of tests over the divisor's primes.  The
+expr_values pass per test of one of the divisor's primes.  The
 same fold reports whether each subtree is floor-free, which tells the
 period search where it may start.
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, repeat
+from itertools import repeat
 
 from ._value import _Value, _set
 from .polynomial import Poly
@@ -472,36 +472,26 @@ def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool) -> int:
     s = 0, t = m: far fewer, smaller values when d is large.  p = 1 alone
     is not enough: floor((n^2 - n)/2) has p = 1 but period 4 mod 2.
 
-    Periods are the multiples of the least one, so for a T that the least
-    T0 divides, T/q is a T iff q divides T/T0: one test per prime, which
-    does not depend on the other primes' powers in T.  The primes are
-    therefore tested in rounds, all at the current T in one expr_values
-    pass over the joined blocks at p*(T/q), the first round also over
-    the base block at 0: at most 1 + omega(m) blocks a pass.  A prime
-    whose block matches the base divides T out once and stays for the
-    next round while it still divides T; one whose block differs is done.
-    The rounds end at the T that testing one prime at a time ends at, the
-    least one (but see _prime_factors), and the passes fall from 1 + the
-    sum of the primes' test counts to 1 + the largest of them.
+    Periods are the multiples of the least one T0, and T0 divides t, so
+    for a T that T0 divides, T/q is a T iff q divides T/T0, which does
+    not depend on the other primes' powers in T.  So each prime q of m in
+    turn divides T out while T/q still passes, each test one expr_values
+    pass over the block at p*(T/q) against the base block at 0, and the
+    descent ends at the least T (but see _prime_factors).
     """
     if d == 0:
         return 1
     s = 0 if floor_free else d
     t = math.gcd(m * math.lcm(*range(1, s + 1)), m ** (s + 1))
     span = d * p
-    base = None
-    pending = _prime_factors(m)
-    while pending:
-        blocks = [range(a, a + span) for a in (p * (t // q) for q in pending)]
-        if base is None:
-            blocks.insert(0, range(span))
-        res = [v % m for v in expr_values(x, chain.from_iterable(blocks))]
-        if base is None:
-            base, res = res[:span], res[span:]
-        passed = [q for i, q in enumerate(pending) if res[i * span:(i + 1) * span] == base]
-        for q in passed:
+
+    def block(a):
+        return [v % m for v in expr_values(x, range(a, a + span))]
+
+    base = block(0)
+    for q in _prime_factors(m):
+        while t % q == 0 and block(p * (t // q)) == base:
             t //= q
-        pending = [q for q in passed if t % q == 0]
     return t
 
 

@@ -19,7 +19,7 @@ held-out sample with frac_eval.  reference_expr_bounds is the
 bounds fold with the plainest period search: T = 1, 2, ... in turn, one
 expr_values pass each, until p*T is a period, and round(X/m) folded as
 floor((2X + m)/(2m)), where expr_bounds divides a start value that the
-least T divides by the divisor's primes, all primes in rounds, and
+least T divides by the divisor's primes, one prime at a time, and
 searches a round from X mod m.  It shares exactly one function with
 expr_bounds, expr_values, which computes the values the search tests;
 it knows nothing of the start value or the divisor's primes, so it

@@ -75,6 +75,12 @@ def test_certify_onset_override_shifts_window():
     assert cert.window == range(5, 41)
 
 
+def test_certify_rejects_negative_onset_override():
+    # certify's own check, not coeffs_at's on the indices it would read
+    with pytest.raises(ValueError, match="onset_override must be non-negative"):
+        certify(triangle_gf(), andrews_expr(), onset_override=-1)
+
+
 def test_window_geometry():
     for cert in (
         certify(triangle_gf(), andrews_expr()),

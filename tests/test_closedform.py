@@ -362,6 +362,11 @@ def test_conversion_soundness_random(e):
     # a floor of degree 3 inside: 2^(3+1) = 16 is the least T mod 8, where
     # a search from 8*3 rather than 8*lcm(1, 2, 3) would stop at 8
     ("floor(floor((3*n^3 + n)/6)/8)", (3, 48)),
+    # 720720 = 2^4*3^2*5*7*11*13: (n + 3)^3 - n^3 is 0 mod 9, so the descent
+    # divides 3 out once, and 16 stays whole
+    ("floor(n^3/720720)", (3, 240240)),
+    # six primes, none of which divides out, each tested on 1009 values
+    ("floor(floor(n/1009)/30030)", (1, 30300270)),
 ])
 def test_expr_bounds_fixed_cases(text, bounds):
     assert expr_bounds(parse(text)) == bounds
@@ -404,24 +409,25 @@ def test_expr_bounds_match_reference(e):
     assert _bounds(e)[2] == (not _reference_has_division(e))
 
 
-@pytest.mark.parametrize("text, walks", [
-    ("floor(n/48)", 1),
-    (ANDREWS, 4),
-    ("floor(floor(n/100003)/7)", 2),
+@pytest.mark.parametrize("text, passes, values", [
+    ("floor(n/48)", 3, 3),
+    (ANDREWS, 8, 12),
+    ("floor(floor(n/100003)/7)", 4, 200008),
 ])
-def test_expr_bounds_walk_count(monkeypatch, text, walks):
-    # one expr_values pass per round of prime tests, the base block riding
-    # in the first: 1 + the most tests any one prime takes
+def test_expr_bounds_walk_count(monkeypatch, text, passes, values):
+    # one expr_values pass for each floor's base block and one per prime
+    # test, each over one block of d*p values
     calls = []
-    values = qpcert.closedform.expr_values
+    real = qpcert.closedform.expr_values
 
     def counted(e, ns):
-        calls.append(e)
-        return values(e, ns)
+        out = real(e, ns)
+        calls.append(len(out))
+        return out
 
     monkeypatch.setattr(qpcert.closedform, "expr_values", counted)
     expr_bounds(parse(text))
-    assert len(calls) == walks
+    assert (len(calls), sum(calls)) == (passes, values)
 
 
 @settings(max_examples=200, deadline=None)

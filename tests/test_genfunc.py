@@ -318,6 +318,10 @@ COEFFS_AT_REGIMES = {
     "long-numerator": (RationalGF(Poly(*range(1, 20001)), (1,)), _PROBES, [max(_PROBES)]),
     # lcm(997, 1009) = 1005973 > 10^5, so R ends past every index
     "lcm-past-indices": (RationalGF.from_parts((997, 1009)), _PROBES, [max(_PROBES)]),
+    # over one part 7, R is the numerator 1 + 2q, of degree 1 < 7 - 1, so a
+    # lifted index 6 mod 7 reads no term of R: its coefficient is 0
+    "short-numerator-lifts": (RationalGF(Poly(1, 2), (7,)), list(range(10**6, 10**6 + 7)),
+                              [1]),
 }
 
 

@@ -15,7 +15,9 @@ replaced by the mutated function, and the target's tests run there
 with -x and a fixed hypothesis seed.  The mutant is killed if the run
 fails or exceeds its time limit.  A survivor listed in EQUIVALENT is
 reported with the reason it changes no certificate; any other survivor
-makes the script exit 1.
+makes the script exit 1, and so does an EQUIVALENT label of a target
+that was run but that none of its mutants makes, since the code it
+described has changed.
 
 Standard library only.  The tier-1 suite does not collect this file.
 """
@@ -42,6 +44,21 @@ _BOUNDS = ("tests/test_closedform.py", "tests/test_certify.py")
 # test_genfunc.py checks every expansion against the truncated-series
 # oracle, over tiles, heads and both branches of _divide
 _SERIES = ("tests/test_genfunc.py",)
+# test_certify.py checks verdicts and witnesses against brute-force scans
+# and feeds the probe tampered certificates; test_acceptance.py checks
+# that every single-parameter corruption of the triangle GF refutes
+_CERTIFY = ("tests/test_certify.py", "tests/test_acceptance.py")
+# test_genfunc.py checks coeffs_at against the series oracle in both
+# regimes; its far-onset pins, certify and the probe reading lifted
+# coefficients near 10^7 and 10^12, live in test_certify.py
+_FAR = "tests/test_certify.py::"
+_COEFFS_AT = ("tests/test_genfunc.py",
+              _FAR + "test_certify_far_onset_reads_lifted_coefficients",
+              _FAR + "test_certify_far_onset_refutes_with_lifted_coefficients",
+              _FAR + "test_certify_near_onset_reads_the_expansion",
+              _FAR + "test_soundness_probe_far_past_any_expansion",
+              _FAR + "test_far_probe_rejects_formula_that_departs_past_10_to_12",
+              _FAR + "test_rebuild_model_matches_expression")
 
 # target -> the tests each of its mutants runs against
 TARGETS = {
@@ -49,11 +66,14 @@ TARGETS = {
     "closedform._floor_period": _BOUNDS,
     "closedform._prime_factors": _BOUNDS,
     "certify._ranges": _BOUNDS,
+    "certify.certify": _CERTIFY,
+    "certify.soundness_probe": _CERTIFY,
     "genfunc.RationalGF.onset": _BOUNDS,
     "genfunc.RationalGF.degree_bound": _BOUNDS,
     "genfunc.RationalGF.period_bound": _BOUNDS,
     "genfunc._divide": _SERIES,
     "genfunc.RationalGF.coeffs": _SERIES,
+    "genfunc.RationalGF.coeffs_at": _COEFFS_AT,
 }
 
 # target -> [(label, source text in the target, replacement)]
@@ -71,10 +91,24 @@ _CAP = "closedform._prime_factors: q * q <= n and q < 1 << 16 -> "
 _STEP = "closedform._prime_factors: q += 1 if q == 2 else 2 -> "
 _START = ("closedform._floor_period: t = math.gcd(m * math.lcm(*range(1, s + 1)), "
           "m ** (s + 1)) -> ")
+_BLOCK = ("closedform._floor_period: return [v % m for v in expr_values(x, range(a, a + span))] "
+          "-> return [v % m for v in expr_values(x, ")
+_WIDER = ("the base block and every test block widen alike, and a block longer than "
+          "d*p only checks more values of the same congruence")
 _CAP_MOVED = ("moves the trial-division cap, which only a cofactor of 2^30 or more "
               "reaches; listing it whole loses minimality, not a period")
 _PAST_ROOT = ("trial division runs on to 2^16 past sqrt(n); no q that divides the "
               "reduced n is composite, so the same primes are found")
+
+_SEED = ("certify.soundness_probe: cert: Certificate, probes: int, n_max: int, seed: int=0 "
+         "-> cert: Certificate, probes: int, n_max: int, ")
+_OTHER_SEED = ("the default seed only draws other indices; the CLI passes its own --seed, "
+               "and a certified identity agrees at every index")
+
+_AT = "genfunc.RationalGF.coeffs_at: "
+_CHOICE = "deg_r >= top or len(indices) * (deg_r // lift + 1 + _LIFT_COST) > (top + 1) * k"
+_REGIME = ("moves the boundary between coeffs_at's two regimes, each of which reads every "
+           "coefficient exactly; only the cost of a call changes")
 
 _DIVIDE = "genfunc._divide: "
 _BRANCH = ("moves the branch point between the two loop orders, which compute "
@@ -85,7 +119,7 @@ _EMPTY_TAIL = "adds one start at or past the series' end, whose slices are empty
 EQUIVALENT = {
     "closedform._floor_period: d == 0 -> d == -1":
         "a shortcut: with d = 0 every block is empty, so every test passes and "
-        "the rounds divide t down to 1",
+        "the descent divides t down to 1",
     "closedform._floor_period: s = 0 if floor_free else d -> s = 1 if floor_free else d":
         "lcm(1..1) = 1, so the start is gcd(m, m^2) = m, as with s = 0",
     _START + "t = math.gcd(m * math.lcm(*range(1, s + 1)), m ** (s + 2))":
@@ -94,8 +128,10 @@ EQUIVALENT = {
     _START + "t = math.gcd(m * math.lcm(*range(2, s + 1)), m ** (s + 1))":
         "lcm(2..s) = lcm(1..s)",
     _START + "t = math.gcd(m * math.lcm(*range(1, s + 2)), m ** (s + 1))":
-        "the least T divides a start from lcm(1..s+1) too, so the rounds end "
-        "at it, only with one more pass where s + 1 is a power of a prime of m",
+        "the least T divides a start from lcm(1..s+1) too, so the descent ends "
+        "at it, only with one more test where s + 1 is a power of a prime of m",
+    _BLOCK + "range(a - 1, a + span))]": _WIDER,
+    _BLOCK + "range(a, a + span + 1))]": _WIDER,
     _CAP + "q * q <= n or q < 1 << 16": _PAST_ROOT,
     _CAP + "q // q <= n and q < 1 << 16": _PAST_ROOT,
     _CAP + "q * q <= n and q <= 1 << 16": "q is odd past 2, so it never equals 2^16",
@@ -105,6 +141,8 @@ EQUIVALENT = {
     _STEP + "q += 1 if q == 2 else 1":
         "q steps through every integer; a composite q never divides the reduced "
         "n, so the same primes are found",
+    _SEED + "seed: int=1": _OTHER_SEED,
+    _SEED + "seed: int=-1": _OTHER_SEED,
     _DIVIDE + "b * b <= size -> b * b < size": _BRANCH,
     _DIVIDE + "b * b <= size -> b // b <= size": _BRANCH,
     _DIVIDE + "range(0, size, step) -> range(0, size + 1, step)": _EMPTY_TAIL,
@@ -114,6 +152,15 @@ EQUIVALENT = {
         "is final already: each tile's first row is the one the tile above ends on",
     "genfunc.RationalGF.coeffs: head < size -> head <= size":
         "at head == size the copy repeats zero values",
+    _AT + "run = isinstance(indices, range) and indices.step == 1 -> "
+          "run = isinstance(indices, range) and indices.step == 0":
+        "no range has step 0, so every range is read as the list of its indices, "
+        "which gives the same values",
+    **{f"{_AT}{_CHOICE} -> {_CHOICE.replace(old, new)}": _REGIME for old, new in (
+        ("deg_r >= top", "deg_r > top"), ("> (top", ">= (top"), ("(top + 1) * k", "(top + 1) // k"),
+        ("top + 1", "top - 1"), ("top + 1", "top + 2"), ("top + 1", "top + 0"),
+        ("lift + 1", "lift - 1"), ("lift + 1", "lift + 2"), ("lift + 1", "lift + 0"),
+        ("deg_r // lift", "deg_r * lift"))},
 }
 
 _SWAPS = {
@@ -252,12 +299,16 @@ def main(argv) -> int:
                 print(f"the unmutated {' '.join(tests)} fail; no mutant was run")
                 return 2
             timeouts[tests] = max(30.0, 3 * (time.perf_counter() - start))
-        unlisted = []
+        unlisted, stale = [], []
         for target in targets:
             module, qualname = target.split(".", 1)
             path = work / "src" / "qpcert" / f"{module}.py"
             pristine = path.read_text()
-            for label, source in mutants(target):
+            made = mutants(target)
+            labels = {label for label, _ in made}
+            stale += [label for label in EQUIVALENT
+                      if label.startswith(f"{target}: ") and label not in labels]
+            for label, source in made:
                 _apply(path, qualname, source)
                 outcome = _run(work, TARGETS[target], timeouts[TARGETS[target]])
                 path.write_text(pristine)
@@ -272,7 +323,10 @@ def main(argv) -> int:
     print(f"{len(unlisted)} survivor(s) not listed as equivalent")
     for label in unlisted:
         print(f"  {label}")
-    return 1 if unlisted else 0
+    print(f"{len(stale)} EQUIVALENT label(s) that no mutant of their target makes")
+    for label in stale:
+        print(f"  {label}")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
