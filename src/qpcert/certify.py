@@ -10,7 +10,9 @@ n >= onset.  A Certified verdict is therefore a theorem, not a sample.
 The window is checked in one pass: the coefficients come from
 RationalGF.coeffs_at, off the series expansion unless the window lies far
 out, and the closed form's values from expr_values, the integer
-interpreter run over the whole window at once.  The expression's side of
+interpreter run over the whole window at once.  The two lists are
+compared whole; on a mismatch, a bisection on slice equality finds the
+first index where they differ.  The expression's side of
 D and P comes from expr_bounds, a fold over its AST in integers, so no
 quasi-polynomial is built to size the window, and no checked value comes
 from anything but the series and the interpreter.
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress, count
 
 from ._value import _Value, _set
 from .closedform import Expr, expr_bounds, expr_values
@@ -117,7 +118,14 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     rhs = expr_values(expr, checked)
     refutation = None
     if lhs != rhs:
-        i = next(compress(count(), map(operator.ne, lhs, rhs)))
+        # lhs[:i] == rhs[:i] and lhs[i:j] != rhs[i:j]
+        i, j = 0, len(lhs)
+        while j - i > 1:
+            mid = (i + j) // 2
+            if lhs[i:mid] == rhs[i:mid]:
+                i = mid
+            else:
+                j = mid
         refutation = Refutation(n=onset + i, lhs=lhs[i], rhs=rhs[i])
     return Certificate(
         gf=gf,

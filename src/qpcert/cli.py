@@ -17,7 +17,10 @@ followed by a newline, with each int in doc replaced by its decimal
 string: the same ASCII escapes, key order and indentation, written by a
 small writer that accepts only the types a document holds.  Integer
 flags and fit's values are ASCII, in any spelling int() reads (' 1',
-'+0', '00', '-0'); a blank list field is an error.  Exit codes: 0
+'+0', '00', '-0'); a blank list field is an error.  A comma-separated
+list of bare decimal fields, the usual --num, is read by the json
+module's C scanner, which reads each such field as int() does; every
+other text, and every error, goes through int().  Exit codes: 0
 success/certified, 1 refuted (or a failed 37-term check), 2 usage or
 parse errors, an expression nested too deeply, an index or size too
 large to allocate, or running out of memory.  A stdout closed by its
@@ -44,6 +47,7 @@ SCHEMA_VERSION = "1"
 PROBE_N_MAX = 100000
 
 _json_str = json.encoder.encode_basestring_ascii
+_json_scan = json.JSONDecoder().scan_once
 
 
 # -- argument helpers ---------------------------------------------------
@@ -53,10 +57,22 @@ def _ints(text: str, sep: str | None) -> list[int]:
     """int() of each sep-separated field of text, which must be ASCII.
 
     int() also reads other scripts' digits (Arabic-Indic '٣' as 3).
+    A non-empty comma-separated text of only the bytes 0-9, ',' and '-'
+    is first read as the json array "[" + text + "]" by the json
+    module's C scanner, about twice as fast as int() per field.  On
+    those bytes JSON accepts exactly the fields -?(0|[1-9][0-9]*), each
+    of which int() reads to the same value, and rejects the rest ('',
+    '-', '00', '1-2'); on any rejection, and on a field past int()'s
+    digit limit, the int() reader runs and gives the result or error.
     """
     if not text.isascii():
         i = next(i for i, c in enumerate(text) if not c.isascii())
         raise ValueError(f"non-ASCII character {text[i]!r} at offset {i}")
+    if sep == "," and text and not text.encode().translate(None, b"0123456789,-"):
+        try:
+            return _json_scan("[" + text + "]", 0)[0]
+        except (StopIteration, ValueError):
+            pass
     return list(map(int, text.split(sep)))
 
 

@@ -394,17 +394,24 @@ def test_first_witness_matches_per_index_scan(text):
     coeffs = naive_series_coeffs(gf.parts, gf.numerator.coeffs, window.stop - 1)
     assert scan_first_mismatch(coeffs, expr, window) is None
     for k in (window[0], window[len(window) // 2], window[-1]):
-        # every index from k on mismatches, so only the first is k; the
-        # bump raises the numerator's degree and so gf.onset(), and the
-        # override keeps the window of the unmutated identity
-        mutated = _bump(gf, k, window.stop)
-        cert = certify(mutated, expr, onset_override=window.start)
-        assert cert.window == window
-        coeffs = naive_series_coeffs(mutated.parts, mutated.numerator.coeffs, window.stop - 1)
-        expected = scan_first_mismatch(coeffs, expr, window)
-        assert expected[0] == k
-        w = cert.refutation
-        assert (w.n, w.lhs, w.rhs) == expected
+        for stop in (window.stop, k + 1):
+            # with stop = window.stop every index from k on mismatches, so
+            # only the first is k; with k + 1 only k does, as in the bench's
+            # one-coefficient mutations, and the bisection must not stop on
+            # the agreeing slice past it.  The bump raises the numerator's
+            # degree and so gf.onset(), and the override keeps the window
+            # of the unmutated identity
+            mutated = _bump(gf, k, stop)
+            cert = certify(mutated, expr, onset_override=window.start)
+            assert cert.window == window
+            coeffs = naive_series_coeffs(mutated.parts, mutated.numerator.coeffs,
+                                         window.stop - 1)
+            expected = scan_first_mismatch(coeffs, expr, window)
+            assert expected[0] == k
+            if stop == k + 1:
+                assert scan_first_mismatch(coeffs, expr, range(k + 1, window.stop)) is None
+            w = cert.refutation
+            assert (w.n, w.lhs, w.rhs) == expected
 
 
 # (n - 2*floor(n/2))*(n - 3*floor(n/3)) is (n mod 2)*(n mod 3), of degree

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpcert.cli import _csv_fields, _join_ints, _json_dump, _table, build_parser, main
+import qpcert.cli
+from qpcert.cli import (_csv_fields, _ints, _join_ints, _json_dump, _table, build_parser,
+                        main)
 from qpcert.triangles import count_bruteforce
 
 from oracles import alcuin_count
@@ -158,6 +160,67 @@ def test_certify_non_ascii_digit_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert "offset 2: unexpected character" in err
+
+
+def _read_ints(text, sep):
+    """(_ints(text, sep), None), or (None, its ValueError's message)."""
+    try:
+        return _ints(text, sep), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _read_with_int(text, sep):
+    """(list, None) or (None, message) from int() of each field, the reader _ints falls back to."""
+    try:
+        return list(map(int, text.split(sep))), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+_PLAIN_PIECES = list("0123456789,-")
+_TEXT_PIECES = _PLAIN_PIECES + list("+_.e \t\x0b[]\"") + ["true", "null", "NaN"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.sampled_from(_PLAIN_PIECES), max_size=16),
+                 st.lists(st.sampled_from(_TEXT_PIECES), max_size=16)).map("".join),
+       st.sampled_from([",", None]))
+def test_ints_reads_as_int_of_each_field(text, sep):
+    # the json scanner takes plain comma lists; every text must still give
+    # int()'s values, or raise int()'s message
+    assert _read_ints(text, sep) == _read_with_int(text, sep)
+
+
+_PAST_DIGIT_LIMIT = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("sep", [",", None])
+@pytest.mark.parametrize("text", ["", "-0", "0,-0", "00,1", "1.0", "1e3", "[1]", _PAST_DIGIT_LIMIT],
+                         ids=lambda text: "past-digit-limit" if len(text) > 9 else repr(text))
+def test_ints_fixed_texts_read_as_int_of_each_field(text, sep):
+    assert _read_ints(text, sep) == _read_with_int(text, sep)
+    if text is _PAST_DIGIT_LIMIT:
+        assert _read_ints(text, sep)[1] is not None
+
+
+def test_plain_comma_lists_take_the_json_scanner(monkeypatch):
+    scan = qpcert.cli._json_scan
+    calls, read = [], []
+
+    def spy(text, start):
+        calls.append(text)
+        read.append(scan(text, start))
+        return read[-1]
+
+    monkeypatch.setattr(qpcert.cli, "_json_scan", spy)
+    assert _ints("0,-12,345", ",") == [0, -12, 345]
+    assert (calls, read) == (["[0,-12,345]"], [([0, -12, 345], 11)])
+    calls.clear()
+    assert _ints("+1,2", ",") == [1, 2]
+    assert _ints(" 1", ",") == [1]
+    assert _ints("3 -4\n5\n", None) == [3, -4, 5]
+    assert calls == []
 
 
 @pytest.mark.parametrize("expr", ["+".join(["1"] * 1200), "(" * 600 + "n" + ")" * 600],

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation runner for the functions every certify window rests on.
+"""Mutation runner for the functions every certify window rests on, and the CLI's int reader.
 
     python tools/mutate.py                          # every target below
     python tools/mutate.py closedform._floor_period # one or more targets
@@ -59,6 +59,9 @@ _COEFFS_AT = ("tests/test_genfunc.py",
               _FAR + "test_soundness_probe_far_past_any_expansion",
               _FAR + "test_far_probe_rejects_formula_that_departs_past_10_to_12",
               _FAR + "test_rebuild_model_matches_expression")
+# test_cli.py checks _ints against int() of each field and pins which
+# texts the json scanner reads; test_cli_golden.py pins every CLI byte
+_CLI = ("tests/test_cli.py", "tests/test_cli_golden.py")
 
 # target -> the tests each of its mutants runs against
 TARGETS = {
@@ -74,6 +77,7 @@ TARGETS = {
     "genfunc._divide": _SERIES,
     "genfunc.RationalGF.coeffs": _SERIES,
     "genfunc.RationalGF.coeffs_at": _COEFFS_AT,
+    "cli._ints": _CLI,
 }
 
 # target -> [(label, source text in the target, replacement)]
