@@ -32,9 +32,9 @@ def horner(num, x):
 def _poly(num, den: int) -> "Poly":
     """Canonical Poly equal to num/den; num holds ints and den >= 1.
 
-    The private constructor behind all arithmetic: it skips the type
-    checks of Poly(*coeffs) and, as pickle and copy do, builds the value
-    with _rebuild.  An empty or all-zero num gives () over 1.
+    The private constructor behind all arithmetic and monomial: it skips
+    the type checks of Poly(*coeffs) and, as pickle and copy do, builds
+    the value with _rebuild.  An empty or all-zero num gives () over 1.
     """
     n = len(num)
     while n and not num[n - 1]:
@@ -100,7 +100,7 @@ class Poly(_Value):
         """x^k."""
         if k < 0:
             raise ValueError("monomial exponent must be non-negative")
-        return Poly(*([0] * k + [1]))
+        return _poly([0] * k + [1], 1)
 
     def __call__(self, x) -> Fraction:
         """Evaluate at x by Horner's rule, exactly."""

@@ -70,32 +70,31 @@ class TriangleParam(_Value):
         return 4 * self.a + 2 * self.b + 3 * self.t + 3
 
 
+def _sides(n: int):
+    """(x, lowest y) per longest side x of perimeter n, x decreasing.
+
+    x runs over [ceil(n/3), floor((n-1)/2)]: 3x >= n keeps y's range
+    [ceil((n-x)/2), x] non-empty, and 2x < n gives y + z > x.  Then
+    z = n - x - y lies in [1, y].
+    """
+    for x in range((n - 1) // 2, (n + 2) // 3 - 1, -1):
+        yield x, (n - x + 1) // 2
+
+
 def count_bruteforce(n: int) -> int:
     """Number of integer-sided triangles with perimeter n, by enumeration.
 
-    Loops the longest side x over [ceil(n/3), floor((n-1)/2)] and counts
-    the admissible middle sides directly; perimeters below 3 give 0.
-    About n/6 steps: the oracle for andrews_expr, which the CLI's
-    ``triangles count`` evaluates in O(1) steps instead.
+    Loops the longest side x and counts the admissible middle sides
+    directly; perimeters below 3 give 0.  About n/6 steps: the oracle for
+    andrews_expr, which the CLI's ``triangles count`` evaluates in O(1)
+    steps instead.
     """
-    count = 0
-    for x in range((n + 2) // 3, (n - 1) // 2 + 1):
-        y_lo = (n - x + 1) // 2
-        y_hi = min(x, n - x - 1)
-        if y_hi >= y_lo:
-            count += y_hi - y_lo + 1
-    return count
+    return sum(x - y_lo + 1 for x, y_lo in _sides(n))
 
 
 def list_triangles(n: int) -> list[Triangle]:
     """All triangles of perimeter n in decreasing (x, y, z) lex order."""
-    out = []
-    for x in range((n - 1) // 2, (n + 2) // 3 - 1, -1):
-        y_lo = (n - x + 1) // 2
-        y_hi = min(x, n - x - 1)
-        for y in range(y_hi, y_lo - 1, -1):
-            out.append(Triangle(x, y, n - x - y))
-    return out
+    return [Triangle(x, y, n - x - y) for x, y_lo in _sides(n) for y in range(x, y_lo - 1, -1)]
 
 
 def param_to_triangle(p: TriangleParam) -> Triangle:

@@ -75,7 +75,7 @@ def test_criterion_2_certified_theorem(capsys):
             and cert.degree_bound == 2
             and cert.period == 12
             and cert.onset == 0
-            and len(cert.window) == 36
+            and cert.window == range(0, 36)
             and soundness_probe(cert, 500, 100000, seed=0)
         )
     with capsys.disabled():
@@ -149,10 +149,10 @@ def test_criterion_7_ansatz_fitting(capsys):
     with timer() as t:
         samples = [count_bruteforce(n) for n in range(50)]
         fit = fit_quasipoly(samples, d_max=3, l_max=12, holdout=2)
-        held_out = len(samples) - fit.samples_used
         ok = (
             fit.holdout_verified
-            and held_out >= 12
+            # 36 samples fit the model and the other 14 are held out
+            and (fit.period, fit.degree, fit.samples_used) == (12, 2, 36)
             and fit.model.equivalent(expr_to_qp(andrews_expr()))
             and fit.model(10000) == expr_eval(andrews_expr(), 10000)
         )

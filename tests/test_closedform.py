@@ -31,23 +31,12 @@ from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 
 from oracles import _reference_has_division, oracle_eval, reference_expr_bounds
+from test_acceptance import ANDREWS, BATTERY as _ACCEPTANCE_BATTERY
 
-ANDREWS = "round(n^2/12) - floor(n/4)*floor((n+2)/4)"
-
-# battery of closed forms exercising nesting, round-of-floor and products
-BATTERY = [
-    "n",
-    "7",
-    "n^2",
-    "floor(n/4)",
-    "round(n^2/12)",
-    "floor((n+2)/4)",
-    ANDREWS,
-    "floor(floor(n/2)/3)",
-    "round(floor(n/3)/5)",
-    "floor(n/2)*floor(n/3)",
-    "(n - 2*floor(n/2))*(n - 3*floor(n/3))",
-    "n^3 - 6*floor((n^2+3)/7)",
+# the acceptance battery of closed forms exercising nesting, round-of-floor
+# and products, plus a negated base under a power and a difference whose
+# quadratic terms cancel
+BATTERY = _ACCEPTANCE_BATTERY + [
     "-n^2 + floor((2*n+1)/3)",
     "floor((n^2+n)/2) - n*floor(n/2)",
 ]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpcert import genfunc
 from qpcert.certify import probe_indices
@@ -10,13 +10,9 @@ from qpcert.closedform import expr_values
 from qpcert.genfunc import EmptyParts, RationalGF
 from qpcert.polynomial import Poly, interpolate
 from qpcert.quasipoly import QuasiPoly
-from qpcert.triangles import andrews_expr
+from qpcert.triangles import andrews_expr, triangle_gf
 
-from oracles import ALCUIN_PREFIX, alcuin_count, expansions, naive_series_coeffs
-
-
-def triangle_gf() -> RationalGF:
-    return RationalGF.from_parts((2, 3, 4), shift=3)
+from oracles import alcuin_count, expansions, naive_series_coeffs
 
 
 def test_from_parts_triangle_instance():
@@ -56,10 +52,6 @@ def test_onset_marks_where_improper_coefficients_settle():
     model = QuasiPoly(2, tuple(tail))
     assert all(model(n) == coeffs[n] for n in range(gf.onset(), 61))
     assert any(model(n) != coeffs[n] for n in range(gf.onset()))
-
-
-def test_triangle_coefficients_match_enumeration():
-    assert triangle_gf().coeffs(12) == ALCUIN_PREFIX
 
 
 def test_numerator_shift_delays():
@@ -210,6 +202,10 @@ def test_coeffs_divides_the_largest_part_over_its_head_only(monkeypatch):
     assert len(head) == 1 and sorted(passes) == head + [10**4 + 1] * 2
 
 
+# upto below the numerator's degree cuts the numerator short, and a part
+# above upto leaves the series as it is
+@example([2, 5], [1, -2, 3, 0, 4, -1, 5], 3)
+@example([3, 12], [2, -1], 7)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4),
        st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=50),

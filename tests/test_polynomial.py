@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qpcert.polynomial import Poly, interpolate
 
-from oracles import ALCUIN_PREFIX, frac_add, frac_eval, frac_mul, frac_poly, naive_triangle_count
+from oracles import frac_add, frac_eval, frac_mul, frac_poly, naive_triangle_count
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 coeff_lists = st.lists(small_fractions, min_size=0, max_size=7)
@@ -116,31 +116,12 @@ def test_interpolate_alcuin_residue_zero():
     assert p(48) == naive_triangle_count(48) == 48
 
 
-@given(polys, polys, st.lists(small_fractions, min_size=10, max_size=10))
-def test_eval_is_ring_homomorphism(p, q, xs):
-    for x in xs:
-        assert (p + q)(x) == p(x) + q(x)
-        assert (p * q)(x) == p(x) * q(x)
-
-
 @given(polys, st.integers(-50, 50), st.integers(1, 12), st.integers(0, 3))
 def test_interpolate_left_inverse_of_sampling(p, start, step, extra):
     # any number of samples beyond deg p + 1 still gives back p itself
     k = max(p.degree + 1, 1) + extra
     values = [p(start + i * step) for i in range(k)]
     assert interpolate(values, start, step) == p
-
-
-@given(polys)
-def test_normalization_idempotent(p):
-    assert Poly(*p.coeffs) == p
-    assert Poly(*(list(p.coeffs) + [0, 0])) == p
-
-
-@given(polys)
-def test_neg_and_sub_consistent(p):
-    assert p - p == Poly()
-    assert p + (-p) == Poly()
 
 
 def test_den_is_lcm_of_denominators():
@@ -182,7 +163,3 @@ def test_integer_form_matches_fraction_oracle(cs, ds, x, n):
     assert p(n) == frac_eval(a, n)
     assert p(x) == frac_eval(a, x)
     assert isinstance(p(n), Fraction)
-
-
-def test_alcuin_prefix_frozen_against_oracle():
-    assert [naive_triangle_count(n) for n in range(13)] == ALCUIN_PREFIX
