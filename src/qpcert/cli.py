@@ -35,7 +35,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from .certify import certify, fit_quasipoly, soundness_probe
 from .closedform import expr_eval, parse
@@ -386,7 +385,11 @@ def _cmd_triangles_list(args) -> int:
 
 
 def _read_values(args) -> list[int]:
-    text = sys.stdin.read() if args.stdin else Path(args.values).read_text(encoding="utf-8")
+    if args.stdin:
+        text = sys.stdin.read()
+    else:
+        with open(args.values, encoding="utf-8") as f:
+            text = f.read()
     try:
         return _ints(text, None)
     except ValueError as exc:

@@ -430,6 +430,13 @@ def test_fit_rejects_non_integer_values(tmp_path, capsys):
                    "invalid literal for int() with base 10: 'x'\n")
 
 
+def test_fit_missing_values_file(tmp_path, capsys):
+    missing = tmp_path / "nope.txt"
+    code, out, err = run(capsys, ["fit", "--values", str(missing), "--dmax", "1", "--lmax", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+
 def test_fit_non_ascii_value_same_error_from_file_and_stdin(tmp_path, capsys, monkeypatch):
     text = f"{ARABIC_3} 3 3 3 3"
     values = tmp_path / "values.txt"

@@ -54,10 +54,6 @@ def test_onset_marks_where_improper_coefficients_settle():
     assert any(model(n) != coeffs[n] for n in range(gf.onset()))
 
 
-def test_numerator_shift_delays():
-    assert triangle_gf().coeffs(2) == [0, 0, 0]
-
-
 def test_empty_parts_rejected():
     with pytest.raises(EmptyParts):
         RationalGF.from_parts((), shift=0)

@@ -92,11 +92,11 @@ def test_triangles_order_as_side_tuples():
         a < (3, 2, 2)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
+def test_cli_import_loads_neither_dataclasses_nor_inspect_nor_pathlib():
     # each costs start-up time in every qpcert call; -S keeps site's own
     # imports out of the fresh interpreter, so only qpcert's are seen
-    code = ("import sys, qpcert.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    code = ("import sys, qpcert.cli; print(' '.join(m for m in "
+            "('dataclasses', 'inspect', 'pathlib') if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(qpcert.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -9,32 +9,32 @@ in TARGETS with the tests its mutants run against.  Each mutant is one
 small edit to one target, made on its AST: an operator swapped (+ -,
 * //, and or, ...), an integer constant moved by +-1 or a bool flipped,
 a range() bound moved by +-1, or a comparison flipped (< <=, == !=,
-...); EXTRA adds hand-written ones.  Each mutant is written into a copy
-of src/ and tests/ in a temporary directory, the target's lines
-replaced by the mutated function, and the target's tests run there
-with -x and a fixed hypothesis seed.  The mutant is killed if the run
-fails or exceeds its time limit.  A survivor listed in EQUIVALENT is
-reported with the reason it changes no certificate; any other survivor
-makes the script exit 1, and so does an EQUIVALENT label of a target
-that was run but that none of its mutants makes, since the code it
-described has changed.
-
-Standard library only.  The tier-1 suite does not collect this file.
+...); EXTRA adds hand-written ones.  One pytest.main call per set of
+tests collects them once and runs them unmutated in a forked child;
+then one child per mutant gives the live function the mutated code and
+defaults and runs them with -x, a fixed hypothesis seed and no example
+database (a test that starts a fresh interpreter sees no mutant).  A
+mutant is killed if the run fails or outlasts max(30 s, 3 times the
+unmutated run).  A survivor listed in EQUIVALENT is reported with the
+reason it changes no certificate; any other survivor makes the script
+exit 1, and so does an EQUIVALENT label of a target that was run but
+that none of its mutants makes, since the code it described has changed.
+It needs pytest and hypothesis; the tier-1 suite does not collect it.
 """
 
-from __future__ import annotations
-
+import __future__
 import ast
 import copy
 import os
+import pkgutil
 import resource
-import shutil
-import subprocess
+import signal
 import sys
-import tempfile
-import textwrap
 import time
 from pathlib import Path
+
+import pytest
+from hypothesis import configuration, settings
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -255,34 +255,67 @@ def mutants(target):
     return out
 
 
-def _apply(path: Path, qualname: str, source: str) -> None:
-    """Replace the definition of qualname in the file at path by source."""
-    text = path.read_text()
-    func = _find(ast.parse(text), qualname)
-    first = min([func.lineno] + [d.lineno for d in func.decorator_list])
-    lines = text.splitlines(keepends=True)
-    body = textwrap.indent(source, " " * func.col_offset) + "\n"
-    path.write_text("".join(lines[:first - 1]) + body + "".join(lines[func.end_lineno:]))
+def _swap(target: str, source: str) -> None:
+    """Give target's live function the code and defaults of the function in source; every
+    `from ... import` alias and the class __dict__ hold that object, so every caller sees it."""
+    live = pkgutil.resolve_name(f"qpcert.{target}")
+    exec(compile(source, live.__code__.co_filename, "exec", __future__.annotations.compiler_flag,
+                 dont_inherit=True), live.__globals__, space := {})
+    for name in "__code__", "__defaults__", "__kwdefaults__":
+        setattr(live, name, getattr(space[live.__name__], name))
 
 
-def _limit():
-    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+def _run(session, loop, limit: float, target=None, source=None) -> str:
+    """The tests in a forked child, under source if given: 'passed', 'failed' or 'timed out'."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+            if source:
+                _swap(target, source)
+            signal.setitimer(signal.ITIMER_REAL, limit)  # SIGALRM after limit s; 0: never
+            loop(session=session)  # pytest's own loop, which stops at the first failure (-x)
+            code = 1 if session.testsfailed else 0
+        finally:
+            os._exit(code)
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return "passed" if code == 0 else "timed out" if code == -signal.SIGALRM else "failed"
 
 
-def _run(work: Path, tests, timeout: float | None) -> str:
-    """'passed', 'failed' or 'timed out': tests in work, stopping at the first failure."""
-    shutil.rmtree(work / ".hypothesis", ignore_errors=True)  # no examples carried between mutants
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", *tests]
-    # no .pyc: a mutant of the same size written within the same second
-    # would otherwise be read from the bytecode of the one before it
-    env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    try:
-        done = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=timeout, preexec_fn=_limit)
-    except subprocess.TimeoutExpired:
-        return "timed out"
-    return "passed" if done.returncode == 0 else "failed"
+class _Mutants:
+    """pytest plugin: collect the tests once, then run them unmutated and under each mutant."""
+
+    def __init__(self, made):
+        self.made = made  # [(target, label, source)]
+        self.unlisted = None  # survivors not in EQUIVALENT; None if the unmutated tests fail
+
+    def pytest_configure(self):
+        # no examples carried between mutants: the tests' settings(), made as they are
+        # collected, inherit this profile; and hypothesis writes none of its caches,
+        # since nothing can be created under os.devnull
+        settings.register_profile("mutate", database=None)
+        settings.load_profile("mutate")
+        configuration.set_hypothesis_home_dir(os.devnull)
+
+    def pytest_runtestloop(self, session):
+        loop = session.config.pluginmanager.subset_hook_caller("pytest_runtestloop", [self])
+        start = time.perf_counter()
+        if _run(session, loop, 0) != "passed":
+            return True
+        limit = max(30.0, 3 * (time.perf_counter() - start))
+        self.unlisted = []
+        for target, label, source in self.made:
+            outcome = _run(session, loop, limit, target, source)
+            if outcome != "passed":
+                outcome = f"killed ({outcome})"
+            elif label in EQUIVALENT:
+                outcome = f"survived, equivalent: {EQUIVALENT[label]}"
+            else:
+                outcome = "SURVIVED"
+                self.unlisted.append(label)
+            print(f"{label}  [{outcome}]", flush=True)
+        return True
 
 
 def main(argv) -> int:
@@ -290,40 +323,20 @@ def main(argv) -> int:
     unknown = [target for target in targets if target not in TARGETS]
     if unknown:
         raise SystemExit(f"not in TARGETS: {', '.join(unknown)}")
-    with tempfile.TemporaryDirectory(prefix="qpcert-mutate-") as tmp:
-        work = Path(tmp)
-        for name in ("src", "tests"):
-            shutil.copytree(ROOT / name, work / name,
-                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", work)
-        timeouts = {}
-        for tests in dict.fromkeys(TARGETS[target] for target in targets):
-            start = time.perf_counter()
-            if _run(work, tests, None) != "passed":
-                print(f"the unmutated {' '.join(tests)} fail; no mutant was run")
-                return 2
-            timeouts[tests] = max(30.0, 3 * (time.perf_counter() - start))
-        unlisted, stale = [], []
-        for target in targets:
-            module, qualname = target.split(".", 1)
-            path = work / "src" / "qpcert" / f"{module}.py"
-            pristine = path.read_text()
-            made = mutants(target)
-            labels = {label for label, _ in made}
-            stale += [label for label in EQUIVALENT
-                      if label.startswith(f"{target}: ") and label not in labels]
-            for label, source in made:
-                _apply(path, qualname, source)
-                outcome = _run(work, TARGETS[target], timeouts[TARGETS[target]])
-                path.write_text(pristine)
-                if outcome == "passed" and label in EQUIVALENT:
-                    outcome = f"survived, equivalent: {EQUIVALENT[label]}"
-                elif outcome == "passed":
-                    outcome = "SURVIVED"
-                    unlisted.append(label)
-                else:
-                    outcome = f"killed ({outcome})"
-                print(f"{label}  [{outcome}]", flush=True)
+    os.chdir(ROOT)  # pyproject's pythonpath puts src/ first
+    made = {target: mutants(target) for target in targets}
+    labels = {label for pairs in made.values() for label, _ in pairs}
+    stale = [label for label in EQUIVALENT if label.split(": ")[0] in made and label not in labels]
+    unlisted = []
+    for tests in dict.fromkeys(TARGETS[target] for target in targets):
+        plugin = _Mutants([(target, label, source) for target in targets if TARGETS[target] == tests
+                           for label, source in made[target]])
+        pytest.main(["-x", "-p", "no:terminal", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                     *tests], plugins=[plugin])
+        if plugin.unlisted is None:
+            print(f"the unmutated {' '.join(tests)} fail; no mutant was run")
+            return 2
+        unlisted += plugin.unlisted
     print(f"{len(unlisted)} survivor(s) not listed as equivalent")
     for label in unlisted:
         print(f"  {label}")
