@@ -54,8 +54,6 @@ import operator
 from itertools import repeat
 
 from ._value import _Value, _set
-from .polynomial import Poly
-from .quasipoly import QuasiPoly
 
 
 class ExprSyntaxError(ValueError):
@@ -396,17 +394,18 @@ def expr_values(e: Expr, ns) -> list[int]:
     return v.values if isinstance(v, _Column) else [v] * len(column.values)
 
 
-_N = QuasiPoly.from_poly(Poly(0, 1))  # n itself, as a quasi-polynomial
-
-
 def expr_to_qp(e: Expr) -> QuasiPoly:
     """Exact quasi-polynomial equal to the expression at every integer.
 
     The interpreter run with n bound to the identity quasi-polynomial; a
     constant expression evaluates to an int, lifted to a constant.  The
-    result is canonical.
+    result is canonical.  The quasi-polynomial modules are imported here,
+    so parsing and evaluating an expression loads neither.
     """
-    v = _interpret(e, _N)
+    from .polynomial import Poly
+    from .quasipoly import QuasiPoly
+
+    v = _interpret(e, QuasiPoly.from_poly(Poly(0, 1)))  # n itself, as a quasi-polynomial
     return v if isinstance(v, QuasiPoly) else QuasiPoly.constant(v)
 
 

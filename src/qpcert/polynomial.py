@@ -7,7 +7,9 @@ polynomial is the empty tuple over 1, so equal polynomials have equal
 (num, den).  Poly is a frozen slotted value over those two fields
 (qpcert._value), so its == and hash are equality of values.  Arithmetic and
 evaluation at an integer run on Python ints; the Fraction coefficients
-`coeffs` are a view derived on demand.
+`coeffs` are a view derived on demand.  The fractions module is imported
+only where a Fraction is made or may be received (coeffs, evaluation, and
+an operand that is not an int), so int-only arithmetic never loads it.
 
 Everything here is exact; no float appears anywhere.  The zero
 polynomial has degree -1.
@@ -15,8 +17,8 @@ polynomial has degree -1.
 
 from __future__ import annotations
 
+import functools
 import math
-from fractions import Fraction
 
 from ._value import _rebuild, _Value, _set
 
@@ -50,11 +52,26 @@ def _poly(num, den: int) -> "Poly":
     return _rebuild(Poly, (num, den))
 
 
+@functools.cache
+def _fraction() -> type:
+    """fractions.Fraction, imported on the first call.
+
+    A function-local import statement would cost about 1 us on every
+    evaluation, as much as the evaluation itself (CPython 3.11).
+    """
+    from fractions import Fraction
+    return Fraction
+
+
+def _is_fraction(x) -> bool:
+    return isinstance(x, _fraction())
+
+
 def _operand(x):
     """(num, den) of a Poly, int or Fraction; None for any other type."""
     if isinstance(x, Poly):
         return x.num, x.den
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or _is_fraction(x):
         return (x.numerator,), x.denominator
     return None
 
@@ -78,7 +95,7 @@ class Poly(_Value):
     def __init__(self, *coeffs):
         den = 1
         for c in coeffs:
-            if not isinstance(c, (int, Fraction)):
+            if not (isinstance(c, int) or _is_fraction(c)):
                 raise TypeError(f"expected an int or Fraction, got {type(c).__name__}")
             den = math.lcm(den, c.denominator)
         p = _poly([c.numerator * (den // c.denominator) for c in coeffs], den)
@@ -88,6 +105,7 @@ class Poly(_Value):
     @property
     def coeffs(self) -> tuple:
         """The coefficients as Fractions, constant term first."""
+        Fraction = _fraction()
         return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
@@ -104,6 +122,7 @@ class Poly(_Value):
 
     def __call__(self, x) -> Fraction:
         """Evaluate at x by Horner's rule, exactly."""
+        Fraction = _fraction()
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"expected an int or Fraction, got {type(x).__name__}")
         return Fraction(horner(self.num, x), self.den)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
 from ._value import _Value, _set
 from .polynomial import Poly, _poly, horner

@@ -248,7 +248,9 @@ def test_certify_out_of_memory_exit_two(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("qpcert.cli.certify", exhausted)
+    # the CLI calls the certify module's function; the dotted path
+    # "qpcert.certify.certify" would resolve through the package's certify
+    monkeypatch.setattr(importlib.import_module("qpcert.certify"), "certify", exhausted)
     code, out, err = run(capsys, ["certify", "--parts", "1000003,1000033", "--shift", "0",
                                   "--expr", "0"])
     assert code == 2
@@ -298,7 +300,7 @@ def test_certify_probe_rejects_onset_beyond_probe_limit(capsys, monkeypatch):
     def no_certify(*args, **kwargs):
         raise AssertionError("certify ran before the flags were checked")
 
-    monkeypatch.setattr("qpcert.cli.certify", no_certify)
+    monkeypatch.setattr(importlib.import_module("qpcert.certify"), "certify", no_certify)
     code, out, err = run(
         capsys,
         ["certify", "--parts", "1", "--shift", "0", "--expr", "1",

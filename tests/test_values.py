@@ -9,6 +9,7 @@ RationalGF.
 import copy
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -92,12 +93,31 @@ def test_triangles_order_as_side_tuples():
         a < (3, 2, 2)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect_nor_pathlib():
-    # each costs start-up time in every qpcert call; -S keeps site's own
-    # imports out of the fresh interpreter, so only qpcert's are seen
-    code = ("import sys, qpcert.cli; print(' '.join(m for m in "
-            "('dataclasses', 'inspect', 'pathlib') if m in sys.modules))")
+# (a qpcert.cli call, or None, and the modules that neither the import of
+# qpcert.cli nor that call may load)
+LIBRARY = sorted(f"qpcert.{m.name}" for m in pkgutil.iter_modules(qpcert.__path__)
+                 if m.name != "cli")
+GUARDS = [
+    (None, LIBRARY + ["fractions", "decimal", "dataclasses", "inspect", "pathlib"]),
+    (["coeffs", "--parts", "1,2", "--num", "1,0,1", "--upto", "9"],
+     ["qpcert.certify", "qpcert.closedform", "qpcert.quasipoly", "qpcert.triangles",
+      "fractions"]),
+    (["certify", "--parts", "2,3,4", "--shift", "3", "--expr",
+      "round(n^2/12) - floor(n/4)*floor((n+2)/4)", "--probe", "9"],
+     ["qpcert.triangles", "fractions", "decimal"]),
+]
+
+
+@pytest.mark.parametrize("argv, absent", GUARDS, ids=["import", "coeffs", "certify"])
+def test_cli_loads_only_what_the_command_runs(argv, absent):
+    # each module costs start-up time in every qpcert call that loads it;
+    # -S keeps site's own imports out of the fresh interpreter, so only
+    # qpcert's are seen
+    call = "0" if argv is None else f"qpcert.cli.main({argv!r})"
+    code = (f"import sys, qpcert.cli; code = {call}; "
+            f"print(' '.join(m for m in {absent!r} if m in sys.modules), file=sys.stderr); "
+            "sys.exit(code)")
     env = {**os.environ, "PYTHONPATH": str(Path(qpcert.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == []
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True)
+    assert (run.returncode, run.stderr.split()) == (0, [])
