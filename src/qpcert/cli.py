@@ -1,9 +1,12 @@
 """Command-line interface.
 
 Subcommands: coeffs, certify, triangles (count|list), fit, paper.
-Each call is parsed once, by its subcommand's own parser; a call that
-names no subcommand, or leaves arguments over, goes through the full
-parser, which prints its usage and errors.
+A command call of exact long flags, each at most once, as --flag=value,
+--flag value (a value not starting with -) or a bare store_true flag, is
+read in one pass without argparse (_read_argv), from a table taken from
+its subcommand's parser.  Every other call (help, --, an abbreviated or
+repeated flag, any usage error) goes through the full argparse parser,
+which prints every help text and every error.
 Every command renders one output document in text, json or csv form.  A
 document holds ints, int lists, strs, bools and None as they are; the
 writers print every int as its decimal string and every fraction is a
@@ -543,25 +546,107 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands
 
 
+@functools.cache
+def _flag_table(command: argparse.ArgumentParser) -> tuple:
+    """command's flags as _read_argv reads them, taken from its argparse actions.
+
+    Built on the first call for each command, not with the parser.  A
+    tuple (flags, defaults, required, groups):
+    - flags maps each long option string of a one-value store action to
+      (dest, type, choices, None), and of a store_true-like action to
+      (dest, None, None, const); help's flags are left out;
+    - defaults is what a new Namespace holds before any flag is read:
+      each action's default and the parser's set_defaults (the handler);
+    - required is the set of dests of required flags;
+    - groups lists (dests, required) for each mutually exclusive group.
+    """
+    flags, defaults = {}, dict(command._defaults)
+    for action in command._actions:
+        if action.default is not argparse.SUPPRESS:
+            defaults[action.dest] = action.default
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            spec = (action.dest, action.type, action.choices, None)
+        elif isinstance(action, argparse._StoreConstAction) and action.const is not None:
+            spec = (action.dest, None, None, action.const)
+        else:
+            continue
+        flags.update((name, spec) for name in action.option_strings if name.startswith("--"))
+    required = frozenset(action.dest for action in command._actions if action.required)
+    groups = tuple((frozenset(action.dest for action in group._group_actions), group.required)
+                   for group in command._mutually_exclusive_groups)
+    return flags, defaults, required, groups
+
+
+def _read_argv(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
+    """tokens read in one pass as the command parser of table would read them, or None.
+
+    table is the command's _flag_table; None leaves the call to argparse.
+    It takes exact long flags, each at most once, as --flag=value (a
+    value not starting with --) or --flag value (a value not starting
+    with -), and store_true flags alone.  Each value goes through its
+    flag's type function and choices; then required flags and mutually
+    exclusive groups are checked.  Anything else gives None: an unknown
+    or abbreviated flag, a repeated one, -h, --, a stray word, a missing
+    value, a missing required flag, a group conflict, a bad choice or a
+    type function that raises.  It prints nothing and never exits.
+    """
+    flags, defaults, required, groups = table
+    read = {}
+    i = 0
+    while i < len(tokens):
+        name, eq, value = tokens[i].partition("=")
+        i += 1
+        if name not in flags:
+            return None
+        dest, convert, choices, const = flags[name]
+        if dest in read:
+            return None
+        if const is not None:
+            if eq:
+                return None
+            value = const
+        elif eq:
+            if value.startswith("--"):
+                return None
+        elif i < len(tokens) and not tokens[i].startswith("-"):
+            value = tokens[i]
+            i += 1
+        else:
+            return None
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and value not in choices:
+            return None
+        read[dest] = value
+    if not read.keys() >= required:
+        return None
+    for dests, needed in groups:
+        count = len(read.keys() & dests)
+        if count > 1 or needed and not count:
+            return None
+    return argparse.Namespace(**{**defaults, **read})
+
+
 def main(argv=None) -> int:
     """Run one qpcert call on argv (default sys.argv[1:]); return its exit code.
 
-    A call that names a command (for triangles, also count or list) is
-    parsed once, by that command's own parser.  Every other call goes
-    through the full parser: no arguments, a first argument that is no
-    command (-h, --, an unknown name), or arguments the command's parser
-    leaves over, which the full parser reports as "qpcert: error:
-    unrecognized arguments" with its own usage line.
-    Either way the handler gets the same options, and a usage error or
-    help prints the same bytes, as with build_parser().parse_args(argv).
+    A call that names a command (for triangles, also count or list) and
+    has a shape _read_argv takes (exact long flags, each at most once,
+    with valid values) is read in one pass, without argparse.  Every
+    other call goes through build_parser().parse_args(argv), which
+    prints every help text and every usage error.  Either way the
+    handler gets the same options, and help or a usage error prints the
+    same bytes, as with build_parser().parse_args(argv).
     """
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     depth = 2 if argv[:1] == ["triangles"] else 1
     command = commands.get(tuple(argv[:depth]))
-    if command is not None:
-        args, rest = command.parse_known_args(argv[depth:])
-    if command is None or rest:
+    args = None if command is None else _read_argv(_flag_table(command), argv[depth:])
+    if args is None:
         args = parser.parse_args(argv)
     try:
         return args.handler(args)

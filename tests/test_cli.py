@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import importlib
 import io
@@ -14,8 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpcert.cli
-from qpcert.cli import (_csv_fields, _ints, _join_ints, _json_dump, _table, build_parser,
-                        main)
+from qpcert.cli import (_csv_fields, _flag_table, _ints, _join_ints, _json_dump, _read_argv,
+                        _table, build_parser, main)
 from qpcert.triangles import count_bruteforce
 
 from oracles import alcuin_count
@@ -543,19 +545,181 @@ def test_dispatch_matches_full_parser(monkeypatch, argv):
     assert _run(monkeypatch, argv, None) == dispatched
 
 
-@pytest.mark.parametrize("argv", [
+def _every_parser(parser):
+    """parser and every subcommand parser under it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _every_parser(sub)
+
+
+# calls the one-pass reader must take: the golden command calls, and the
+# bench's shapes (--flag=value, a value starting with -, store_true,
+# only the required flags)
+READER_ARGV = [
     _CERTIFY_N,
     ["triangles", "count", "--perimeter", "12"],
     ["paper", "--format", "csv"],
-])
-def test_command_call_skips_full_parser(capsys, monkeypatch, argv):
-    def unused(*args, **kwargs):
-        raise AssertionError("the full parser parsed a command call")
+    *[pytest.param(c["argv"], id=c["name"]) for c in CASES
+      if c["stdin"] is None and c["exit"] in (0, 1)],
+    *[pytest.param(argv, id=f"shape-{i}") for i, argv in enumerate([
+        ["certify", "--parts", "1,1", "--num=0,1", "--expr=n", "--format", "json"],
+        ["certify", "--parts=2,3,4", "--num=-1,2", "--expr=-n+3", "--onset=4", "--format=csv"],
+        ["certify", "--format", "text", "--expr", "1", "--shift", "0", "--parts", "1",
+         "--probe", "5", "--seed=-3"],
+        ["coeffs", "--parts", "1,2", "--shift", "0", "--upto", "5"],
+        ["triangles", "list", "--perimeter=9", "--format", "csv"],
+        ["fit", "--values", os.devnull, "--dmax", "1", "--lmax", "3"],
+        ["fit", "--dmax", "1", "--stdin", "--lmax", "3", "--holdout=2"],
+        ["paper"],
+    ])],
+]
 
-    monkeypatch.setattr(build_parser(), "parse_args", unused)
-    monkeypatch.setattr(build_parser(), "parse_known_args", unused)
-    assert main(argv) in (0, 1)
-    assert capsys.readouterr().out
+
+@pytest.mark.parametrize("argv", READER_ARGV)
+def test_command_call_skips_full_parser(monkeypatch, argv):
+    # no parser, the full one or a command's, parses a command call: the
+    # reader takes it, with the same outcome
+    expected = _run(monkeypatch, argv, "1 2 3 4 5 6 7 8")
+
+    def unused(*args, **kwargs):
+        raise AssertionError("argparse parsed a command call")
+
+    for parser in _every_parser(build_parser()):
+        monkeypatch.setattr(parser, "parse_args", unused)
+        monkeypatch.setattr(parser, "parse_known_args", unused)
+    assert _run(monkeypatch, argv, "1 2 3 4 5 6 7 8") == expected
+
+
+# each command's flags: a str is a required flag, one ending in ? an
+# optional one, a tuple a required choice of exactly one
+COMMAND_FLAGS = {
+    ("coeffs",): ["--parts", ("--shift", "--num"), "--upto", "--format?"],
+    ("certify",): ["--parts", ("--shift", "--num"), "--expr", "--onset?", "--probe?", "--seed?",
+                   "--format?"],
+    ("triangles", "count"): ["--perimeter", "--format?"],
+    ("triangles", "list"): ["--perimeter", "--format?"],
+    ("fit",): [("--values", "--stdin"), "--dmax", "--lmax", "--holdout?", "--format?"],
+    ("paper",): ["--format?"],
+}
+
+# values each flag accepts; one starting with - is passed only as --flag=value
+FLAG_VALUES = {
+    "--parts": ["2,3,4", "1", "1,2"],
+    "--shift": ["0", "3", " 2", "+1"],
+    "--num": ["1,0,1", "-1,2", " 1,+0,00,-0", "0"],
+    "--upto": ["0", "12"],
+    "--expr": ["n", "floor(n/2)", "-n+3", "", "round(n^2/12) - 1", "n=1"],
+    "--onset": ["0", "4"],
+    "--probe": ["0", "5"],
+    "--seed": ["7", "-3", "0"],
+    "--perimeter": ["0", "12"],
+    "--values": [os.devnull, "no-such-file"],
+    "--stdin": [None],
+    "--dmax": ["0", "1"],
+    "--lmax": ["1", "3"],
+    "--holdout": ["1", "2"],
+    "--format": ["text", "json", "csv"],
+}
+
+# tokens a flawed call inserts: help, --, a stray word, unknown and
+# abbreviated flags, and flags of this command or another left bare
+ODD_TOKENS = ["-h", "--help", "--", "stray", "--nosuch", "--par", "--form", "--st", "--h",
+              "--parts", "--stdin", "--perimeter"]
+# values that some flag rejects, or that no value after a flag may start with
+ODD_VALUES = ["", "-1", "x", ARABIC_3, "2,0", "1,,2", "--", "-h", "--x", "json=1", "1.5", "-"]
+
+
+def _names(items):
+    """The flag names in one COMMAND_FLAGS list."""
+    return [f for item in items for f in (item if isinstance(item, tuple) else [item.rstrip("?")])]
+
+
+def test_command_flags_cover_every_parser():
+    _, commands = qpcert.cli._parsers()
+    assert commands.keys() == COMMAND_FLAGS.keys()
+    for words, command in commands.items():
+        assert set(_names(COMMAND_FLAGS[words])) == (
+            {f for a in command._actions for f in a.option_strings} - {"-h", "--help"})
+    assert FLAG_VALUES.keys() == {f for items in COMMAND_FLAGS.values() for f in _names(items)}
+
+
+@st.composite
+def _command_calls(draw):
+    """(command words, argv tokens, whether the call is well formed by construction)."""
+    words = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    items = []  # [name, form, value]
+    for item in COMMAND_FLAGS[words]:
+        if isinstance(item, tuple):
+            item = draw(st.sampled_from(item))
+        elif item.endswith("?"):
+            if not draw(st.booleans()):
+                continue
+            item = item[:-1]
+        value = draw(st.sampled_from(FLAG_VALUES[item]))
+        form = ("bare" if value is None else "eq" if value.startswith("-")
+                else draw(st.sampled_from(["eq", "sep"])))
+        items.append([item, form, value])
+    items = draw(st.permutations(items))
+    names = _names(COMMAND_FLAGS[words])
+    flaws = draw(st.lists(st.integers(0, 5), max_size=3))
+    for flaw in flaws:
+        k = draw(st.integers(0, len(items)))
+        if flaw == 0 and items:  # a flag left out
+            del items[k % len(items)]
+        elif flaw == 1 and items:  # a flag repeated
+            items.insert(k, list(items[k % len(items)]))
+        elif flaw == 2:  # another flag, or a group's other member
+            value = draw(st.sampled_from(FLAG_VALUES[draw(st.sampled_from(names))]
+                                         + ODD_VALUES))
+            items.insert(k, [draw(st.sampled_from(names + ODD_TOKENS)),
+                             draw(st.sampled_from(["eq", "sep", "bare"])), value or ""])
+        elif flaw == 3 and items:  # a bad or other value
+            items[k % len(items)][2] = draw(st.sampled_from(ODD_VALUES))
+        elif flaw == 4 and items:  # another form: a missing value, --stdin=x, ...
+            items[k % len(items)][1] = draw(st.sampled_from(["eq", "sep", "bare"]))
+        elif flaw == 5:  # a stray token
+            items.insert(k, [draw(st.sampled_from(ODD_TOKENS)), "bare", None])
+    tokens = []
+    for name, form, value in items:
+        tokens += ([name] if form == "bare" or value is None
+                   else [f"{name}={value}"] if form == "eq" else [name, value])
+    return words, tokens, not flaws
+
+
+def _argparse_reading(command, tokens):
+    """(Namespace, tokens left over) from command.parse_known_args, or None if it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return command.parse_known_args(tokens)
+        except SystemExit:
+            return None
+
+
+@given(_command_calls())
+@settings(max_examples=400, deadline=None)
+def test_read_argv_matches_command_parser(call):
+    words, tokens, well_formed = call
+    parser, commands = qpcert.cli._parsers()
+    command = commands[words]
+    args = _read_argv(_flag_table(command), tokens)
+    reference = _argparse_reading(command, tokens)
+    if well_formed:
+        assert args is not None, tokens
+    if args is not None:
+        assert reference is not None and reference[1] == [], tokens
+        assert vars(args) == vars(reference[0])
+        # only the shapes it takes: exact flags, each once, no --value after =
+        flags = [t.partition("=") for t in tokens if t.startswith("-")]
+        exact = {f for a in command._actions for f in a.option_strings if f.startswith("--")}
+        assert all(name in exact - {"--help"} and not value.startswith("--")
+                   for name, _, value in flags)
+        assert len({name for name, _, _ in flags}) == len(flags)
+    with pytest.MonkeyPatch.context() as mp:
+        read = _run(mp, [*words, *tokens], "0 1 2 3 4 5 6 7 8 9 10 11")
+        mp.setattr("qpcert.cli._parsers", lambda: (parser, {}))
+        assert _run(mp, [*words, *tokens], "0 1 2 3 4 5 6 7 8 9 10 11") == read
 
 
 def _entry_point():

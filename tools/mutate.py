@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation runner for the functions every certify window rests on, and the CLI's int reader.
+"""Mutation runner for the functions every certify window rests on, and the CLI's readers.
 
     python tools/mutate.py                          # every target below
     python tools/mutate.py closedform._floor_period # one or more targets
@@ -60,7 +60,9 @@ _COEFFS_AT = ("tests/test_genfunc.py",
               _FAR + "test_far_probe_rejects_formula_that_departs_past_10_to_12",
               _FAR + "test_rebuild_model_matches_expression")
 # test_cli.py checks _ints against int() of each field and pins which
-# texts the json scanner reads; test_cli_golden.py pins every CLI byte
+# texts the json scanner reads, checks _read_argv's Namespace against the
+# command parser's on drawn argv and pins the calls it must take;
+# test_cli_golden.py pins every CLI byte
 _CLI = ("tests/test_cli.py", "tests/test_cli_golden.py")
 
 # target -> the tests each of its mutants runs against
@@ -78,6 +80,7 @@ TARGETS = {
     "genfunc.RationalGF.coeffs": _SERIES,
     "genfunc.RationalGF.coeffs_at": _COEFFS_AT,
     "cli._ints": _CLI,
+    "cli._read_argv": _CLI,
 }
 
 # target -> [(label, source text in the target, replacement)]
