@@ -13,9 +13,13 @@ out, and the closed form's values from expr_values, the integer
 interpreter run over the whole window at once.  The two lists are
 compared whole; on a mismatch, a bisection on slice equality finds the
 first index where they differ.  The expression's side of
-D and P comes from expr_bounds, a fold over its AST in integers, so no
+D and P comes from expr_bounds' fold over its AST in integers, so no
 quasi-polynomial is built to size the window, and no checked value comes
-from anything but the series and the interpreter.
+from anything but the series and the interpreter.  The fold is given
+the GF's period L, and searches a floor's or round's period only where
+that can shrink lcm(L, P): its period may then be a larger multiple of
+the exact one than expr_bounds' own, but by induction over the AST its
+lcm with L, and so the window, is the same.
 
 fit_quasipoly is the matching guessing procedure.  On each residue class
 mod L a quasi-polynomial's values form a polynomial sequence, and a
@@ -31,7 +35,7 @@ import math
 import operator
 
 from ._value import _Value, _set
-from .closedform import Expr, expr_bounds, expr_values
+from .closedform import Expr, _bounds, expr_values
 from .genfunc import RationalGF
 from .polynomial import _differences, interpolate
 from .quasipoly import QuasiPoly
@@ -90,8 +94,12 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
 
     The degree bound is the max of the generating function's bound and
     the expression's (expr_bounds); the period is the lcm of the two
-    periods.  Refutation is a result, not an error: the returned witness
-    is the first mismatching index in the window or the tail.
+    periods.  The bounds fold is given the GF's period as its cover, so
+    it skips each period search that cannot shrink the lcm (see
+    closedform._bounds); the lcm, and so the window, is the one that
+    expr_bounds' full search gives.  Refutation is a result, not an
+    error: the returned witness is the first mismatching index in the
+    window or the tail.
 
     The window theorem needs both sides to be quasi-polynomials from the
     window's start on, which the coefficients are only from s =
@@ -108,9 +116,10 @@ def certify(gf: RationalGF, expr: Expr, onset_override: int | None = None) -> Ce
     """
     if onset_override is not None and onset_override < 0:
         raise ValueError("onset_override must be non-negative")
-    d, p = expr_bounds(expr)
+    cover = gf.period_bound()
+    d, p, _ = _bounds(expr, cover)
     degree = max(gf.degree_bound(), d)
-    period = math.lcm(gf.period_bound(), p)
+    period = math.lcm(cover, p)
     onset = gf.onset() if onset_override is None else onset_override
     window, tail = _ranges(gf, onset, degree, period)
     checked = range(onset, tail.stop)

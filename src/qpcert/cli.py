@@ -479,6 +479,22 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with the "--" of --flag=-- read as the flag's value.
+
+    CPython 3.11's argparse drops that "--" and stores [] past the flag's
+    type function and choices, and the command then failed on it with a
+    TypeError (fit --dmax=--).  Here it goes through them like any value.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     """The qpcert parser and its command parsers, keyed by command words.
@@ -487,7 +503,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     ("triangles", "count") and ("triangles", "list"): each parser that
     sets a handler, under the words that select it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qpcert",
         description="Certify identities between rational generating function "
                     "coefficients and closed-form quasi-polynomial expressions, "

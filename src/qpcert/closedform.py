@@ -33,7 +33,9 @@ without building it: a fold over the AST that reads each floor's or
 round's period off its operand's integer values mod the divisor, one
 expr_values pass per test of one of the divisor's primes.  The
 same fold reports whether each subtree is floor-free, which tells the
-period search where it may start.
+period search where it may start.  Given the period L that its caller
+takes the lcm with, the fold tests a prime only where that can shrink
+lcm(L, period); expr_bounds is the full search, at L = 1.
 
 >>> e = parse("round(n^2/12)")
 >>> [expr_eval(e, n) for n in range(8)]
@@ -425,32 +427,46 @@ def expr_bounds(e: Expr) -> tuple[int, int]:
     Where terms cancel the bounds overshoot the exact degree and period
     (n - n has degree bound 1), but the period bound is always a multiple
     of the exact period and the degree bound never below the degree.
+    This is the full search, _bounds at cover 1; certify gives the fold
+    the GF's period, which skips the searches its window cannot use.
     """
     return _bounds(e)[:2]
 
 
-def _bounds(e: Expr) -> tuple[int, int, bool]:
-    """expr_bounds' (degree, period), and whether no floor or round is in e."""
+def _bounds(e: Expr, cover: int = 1) -> tuple[int, int, bool]:
+    """expr_bounds' (degree, period) up to cover, and whether no floor or round is in e.
+
+    cover is the period L that the caller takes the lcm with; each floor
+    or round searches its period only where that can shrink lcm(L, p)
+    (see _floor_period), so the period returned may be a larger multiple
+    of the exact one than expr_bounds', but lcm(L, p) is the same.  By
+    induction over the AST: it holds at a leaf, the lcm of two periods
+    keeps it, and a floor keeps it given its operand's.  At cover = 1 this
+    is expr_bounds' full search.
+    """
     if isinstance(e, Const):
         return 0, 1, True
     if isinstance(e, Var):
         return 1, 1, True
     if isinstance(e, Neg):
-        return _bounds(e.operand)
+        return _bounds(e.operand, cover)
     if isinstance(e, _Binary):
-        (d1, p1, f1), (d2, p2, f2) = _bounds(e.left), _bounds(e.right)
+        (d1, p1, f1), (d2, p2, f2) = _bounds(e.left, cover), _bounds(e.right, cover)
         return (d1 + d2 if isinstance(e, Mul) else max(d1, d2)), math.lcm(p1, p2), f1 and f2
     if isinstance(e, Pow):
-        d, p, free = _bounds(e.base)
+        d, p, free = _bounds(e.base, cover)
         return d * e.exponent, p, free
     if isinstance(e, _Division):
-        d, p, free = _bounds(e.operand)
-        return d, p * _floor_period(e.operand, d, p, e.divisor, free), False
+        d, p, free = _bounds(e.operand, cover)
+        return d, p * _floor_period(e.operand, d, p, e.divisor, free, cover), False
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool) -> int:
-    """Least T such that x mod m has period p*T; x has degree <= d mod p.
+def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool, cover: int) -> int:
+    """A T such that x mod m has period p*T; x has degree <= d mod p.
+
+    T is the least such T at cover = 1; otherwise lcm(cover, p*T) equals
+    lcm(cover, p*T0) for the least T0.
 
     On residue class r, k -> x(r + p*k) is an integer-valued polynomial
     sum_i a_i*C(k, i) of degree <= d, so g(k) = x(r + p*(k+T)) - x(r + p*k)
@@ -477,6 +493,13 @@ def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool) -> int:
     turn divides T out while T/q still passes, each test one expr_values
     pass over the block at p*(T/q) against the base block at 0, and the
     descent ends at the least T (but see _prime_factors).
+
+    The caller only uses lcm(cover, p*T), so q is tested only while
+    dividing T by q shrinks it: once the power of q in p*T is at most its
+    power in cover, so is its power in p*T0, which divides p*T, and the
+    lcm takes cover's power of q either way.  Every T kept is still a T:
+    each step down is tested, and a step not taken keeps a multiple.  The
+    base block is evaluated only once some prime needs a test.
     """
     if d == 0:
         return 1
@@ -487,9 +510,12 @@ def _floor_period(x: Expr, d: int, p: int, m: int, floor_free: bool) -> int:
     def block(a):
         return [v % m for v in expr_values(x, range(a, a + span))]
 
-    base = block(0)
+    base = None
     for q in _prime_factors(m):
-        while t % q == 0 and block(p * (t // q)) == base:
+        while t % q == 0 and math.lcm(cover, p * (t // q)) < math.lcm(cover, p * t):
+            base = base or block(0)
+            if block(p * (t // q)) != base:
+                break
             t //= q
     return t
 

@@ -12,10 +12,10 @@ from qpcert.certify import (
     rebuild_model,
     soundness_probe,
 )
-from qpcert.closedform import expr_bounds, expr_to_qp, expr_values, parse
+from qpcert.closedform import Expr, _bounds, _Division, expr_bounds, expr_to_qp, expr_values, parse
 from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
-from qpcert.triangles import andrews_expr, count_bruteforce, triangle_gf
+from qpcert.triangles import andrews_expr, triangle_gf
 
 from oracles import (
     alcuin_count,
@@ -29,17 +29,7 @@ from oracles import (
     scan_first_mismatch,
 )
 from test_acceptance import ANDREWS, BATTERY
-from test_closedform import _exprs
-
-
-def test_certify_triangle_identity():
-    cert = certify(triangle_gf(), andrews_expr())
-    assert cert.certified
-    assert cert.degree_bound == 2
-    assert cert.period == 12
-    assert cert.onset == 0
-    assert cert.window == range(0, 36)
-    assert len(cert.window) == 36
+from test_closedform import _exprs, _linear_floors
 
 
 def test_certify_refutes_wrong_formula():
@@ -108,18 +98,6 @@ def test_fit_floor_halves():
     assert fit.holdout_verified
     assert fit.model.constituents[0](0) == 0
     assert [fit.model(n) for n in range(40)] == [n // 2 for n in range(40)]
-
-
-def test_fit_recovers_triangle_formula():
-    samples = [count_bruteforce(n) for n in range(50)]
-    fit = fit_quasipoly(samples, d_max=3, l_max=12, holdout=2)
-    assert fit.period == 12
-    assert fit.degree == 2
-    assert fit.holdout_verified
-    assert fit.samples_used == 36
-    # 14 samples beyond the training prefix were genuinely held out
-    assert len(samples) - fit.samples_used == 14
-    assert fit.model.equivalent(expr_to_qp(andrews_expr()))
 
 
 def test_fit_training_samples_always_reproduced():
@@ -362,6 +340,76 @@ def test_gf_on_expr_bounds_agrees_past_its_window(expr):
     assert cert.certified
     past = range(cert.window.stop, cert.window.stop + 3 * p)
     assert cert.gf.coeffs_at(past) == expr_values(expr, past)
+
+
+# 65537*65539: a divisor whose cofactor past trial division is composite
+_COMPOSITE = 65537 * 65539
+
+
+def _search_starts(e):
+    """p*t for each floor and round in e: its operand's period times the search's start."""
+    if isinstance(e, _Division):
+        d, p = expr_bounds(e.operand)
+        m = e.divisor
+        yield p * math.gcd(m * math.lcm(*range(1, d + 1)), m ** (d + 1))
+    for name in e.__match_args__:
+        if isinstance(child := getattr(e, name), Expr):
+            yield from _search_starts(child)
+
+
+@st.composite
+def _covered_identities(draw):
+    """(gf, expr): parts whose lcm covers all, some or none of each floor's search start.
+
+    Each part is a floor's start, the start with a prime divided out, the
+    prime itself or 1.  The GF is either _identity_gf on a period that the
+    expression's divides, which certifies, or D times the expression's
+    series truncated to sum(parts) + 2 terms, which follows it at least
+    that far and mostly refutes.
+    """
+    expr = draw(st.one_of(_floor_towers(), _linear_floors(),
+                          _exprs(st.one_of(st.integers(1, 6), _DEEP_DIVISORS,
+                                           st.just(_COMPOSITE)))))
+    sizes = {1}
+    for start in _search_starts(expr):
+        primes = [q for q in (2, 3, 5, 7) if start % q == 0]
+        sizes |= {start, *primes, *(start // q for q in primes)}
+    parts = draw(st.lists(st.sampled_from(sorted(sizes)), min_size=1, max_size=3))
+    d, p = expr_bounds(expr)
+    if draw(st.booleans()):
+        period = math.lcm(p, *parts)
+        assume((d + 1) * period <= 3000)
+        return _identity_gf(expr, period, d), expr
+    assume((max(len(parts) - 1, d) + 1) * math.lcm(p, *parts) <= 3000)
+    size = sum(parts) + 2
+    num = expr_values(expr, range(size))
+    for b in parts:
+        num = list(frac_mul(num, (1,) + (0,) * (b - 1) + (-1,))[:size])
+    return RationalGF(Poly(*map(int, num)), tuple(parts)), expr
+
+
+@example((RationalGF.from_parts((65537,)), parse(f"floor(({_COMPOSITE}*n + 5)/{_COMPOSITE})")))
+@settings(max_examples=150, deadline=None)
+@given(_covered_identities())
+def test_certify_window_is_the_full_search_window(draw):
+    # certify folds the expression's period with the GF's lcm(parts) and
+    # skips each period search that cannot shrink their lcm; the window,
+    # and so the verdict, must be the one from expr_bounds' full search.
+    # The example's GF covers 65537, one prime of the composite divisor,
+    # and the full search takes the whole composite out of the period
+    gf, expr = draw
+    d, p = expr_bounds(expr)
+    degree, period = max(gf.degree_bound(), d), math.lcm(gf.period_bound(), p)
+    # first the fold alone: from a period that kept the composite, certify
+    # would size a window of some 10^10 values
+    assert math.lcm(gf.period_bound(), _bounds(expr, gf.period_bound())[1]) == period
+    cert = certify(gf, expr)
+    stop = gf.onset() + (degree + 1) * period
+    assert (cert.degree_bound, cert.period) == (degree, period)
+    assert (cert.window, cert.tail) == (range(gf.onset(), stop), range(stop, stop))
+    w = cert.refutation
+    assert (None if w is None else (w.n, w.lhs, w.rhs)) == scan_first_mismatch(
+        gf.coeffs(stop - 1), expr, cert.window)
 
 
 @pytest.mark.parametrize("text", BATTERY)

@@ -156,6 +156,22 @@ def test_integer_flag_rejects_non_ascii_and_blank_fields(capsys, argv):
         f"{prog}: error: argument {flag}: expected {what}, got {bad!r}")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--values=x", "--dmax=--", "--lmax=1"],
+     "qpcert fit: error: argument --dmax: expected an integer, got '--'"),
+    (["coeffs", "--parts", "1", "--shift", "0", "--upto", "3", "--format=--"],
+     "qpcert coeffs: error: argument --format: invalid choice: '--' "
+     "(choose from 'text', 'json', 'csv')"),
+])
+def test_flag_equals_dashdash_is_the_flags_value(capsys, argv, message):
+    # CPython 3.11's argparse stores [] for --flag=--, past the flag's type
+    # and choices; fit then raised TypeError comparing [] with an int
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
 def test_certify_non_ascii_digit_exit_two(capsys):
     # '1^٣' once parsed as 1^3 and certified
     code, out, err = run(capsys, ["certify", "--parts", "1", "--shift", "0", "--expr", "1^٣"])

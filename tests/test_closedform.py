@@ -398,14 +398,25 @@ def test_expr_bounds_match_reference(e):
     assert _bounds(e)[2] == (not _reference_has_division(e))
 
 
-@pytest.mark.parametrize("text, passes, values", [
-    ("floor(n/48)", 3, 3),
-    (ANDREWS, 8, 12),
-    ("floor(floor(n/100003)/7)", 4, 200008),
-])
-def test_expr_bounds_walk_count(monkeypatch, text, passes, values):
+# (expression, passes, values, the GF period L the fold is given)
+_WALKS = [
+    ("floor(n/48)", 3, 3, 1),
+    (ANDREWS, 8, 12, 1),
+    ("floor(floor(n/100003)/7)", 4, 200008, 1),
+    (ANDREWS, 0, 0, 12),
+    ("floor(n/48)", 0, 0, 48),
+    ("floor(n/48)", 2, 2, 16),
+    ("floor(floor(n/100003)/7)", 0, 0, 700021),
+]
+
+
+@pytest.mark.parametrize("text, passes, values, cover", _WALKS,
+                         ids=["-".join(map(str, row[:3] if row[3] == 1 else row)) for row in _WALKS])
+def test_expr_bounds_walk_count(monkeypatch, text, passes, values, cover):
     # one expr_values pass for each floor's base block and one per prime
-    # test, each over one block of d*p values
+    # test, each over one block of d*p values; given L, a prime is tested
+    # only while it can shrink lcm(L, p*T), and the base block only once
+    # one is: at L = 16, floor(n/48) tests 3 but not 2, as 48's 2^4 is in L
     calls = []
     real = qpcert.closedform.expr_values
 
@@ -415,7 +426,7 @@ def test_expr_bounds_walk_count(monkeypatch, text, passes, values):
         return out
 
     monkeypatch.setattr(qpcert.closedform, "expr_values", counted)
-    expr_bounds(parse(text))
+    _bounds(parse(text), cover)
     assert (len(calls), sum(calls)) == (passes, values)
 
 

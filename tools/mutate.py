@@ -39,7 +39,10 @@ from hypothesis import configuration, settings
 ROOT = Path(__file__).resolve().parent.parent
 
 # test_certify.py holds the adversarial-GF test, which certifies a GF
-# built on expr_bounds' own (degree, period) and reads it past the window
+# built on expr_bounds' own (degree, period) and reads it past the window,
+# and the test that certify's window, from the fold given lcm(parts),
+# is the one expr_bounds' full search sizes; test_closedform.py counts
+# the fold's expr_values passes with and without that period
 _BOUNDS = ("tests/test_closedform.py", "tests/test_certify.py")
 # test_genfunc.py checks every expansion against the truncated-series
 # oracle, over tiles, heads and both branches of _divide
@@ -98,10 +101,8 @@ _CAP = "closedform._prime_factors: q * q <= n and q < 1 << 16 -> "
 _STEP = "closedform._prime_factors: q += 1 if q == 2 else 2 -> "
 _START = ("closedform._floor_period: t = math.gcd(m * math.lcm(*range(1, s + 1)), "
           "m ** (s + 1)) -> ")
-_BLOCK = ("closedform._floor_period: return [v % m for v in expr_values(x, range(a, a + span))] "
-          "-> return [v % m for v in expr_values(x, ")
-_WIDER = ("the base block and every test block widen alike, and a block longer than "
-          "d*p only checks more values of the same congruence")
+_ONE = ("lists a last 1 after the primes; dividing T by 1 never shrinks lcm(cover, p*T), "
+        "so _floor_period never tests it")
 _CAP_MOVED = ("moves the trial-division cap, which only a cofactor of 2^30 or more "
               "reaches; listing it whole loses minimality, not a period")
 _PAST_ROOT = ("trial division runs on to 2^16 past sqrt(n); no q that divides the "
@@ -126,7 +127,8 @@ _EMPTY_TAIL = "adds one start at or past the series' end, whose slices are empty
 EQUIVALENT = {
     "closedform._floor_period: d == 0 -> d == -1":
         "a shortcut: with d = 0 every block is empty, so every test passes and "
-        "the descent divides t down to 1",
+        "the descent divides t down to 1, or given a cover only while that "
+        "shrinks lcm(cover, p*t), which leaves the lcm as at t = 1",
     "closedform._floor_period: s = 0 if floor_free else d -> s = 1 if floor_free else d":
         "lcm(1..1) = 1, so the start is gcd(m, m^2) = m, as with s = 0",
     _START + "t = math.gcd(m * math.lcm(*range(1, s + 1)), m ** (s + 2))":
@@ -137,14 +139,14 @@ EQUIVALENT = {
     _START + "t = math.gcd(m * math.lcm(*range(1, s + 2)), m ** (s + 1))":
         "the least T divides a start from lcm(1..s+1) too, so the descent ends "
         "at it, only with one more test where s + 1 is a power of a prime of m",
-    _BLOCK + "range(a - 1, a + span))]": _WIDER,
-    _BLOCK + "range(a, a + span + 1))]": _WIDER,
     _CAP + "q * q <= n or q < 1 << 16": _PAST_ROOT,
     _CAP + "q // q <= n and q < 1 << 16": _PAST_ROOT,
     _CAP + "q * q <= n and q <= 1 << 16": "q is odd past 2, so it never equals 2^16",
     _CAP + "q * q <= n and q < 2 << 16": _CAP_MOVED,
     _CAP + "q * q <= n and q < 1 << 17": _CAP_MOVED,
     _CAP + "q * q <= n and q < 1 << 15": _CAP_MOVED,
+    "closedform._prime_factors: n > 1 -> n >= 1": _ONE,
+    "closedform._prime_factors: n > 1 -> n > 0": _ONE,
     _STEP + "q += 1 if q == 2 else 1":
         "q steps through every integer; a composite q never divides the reduced "
         "n, so the same primes are found",
