@@ -1,11 +1,13 @@
-"""Byte-for-byte CLI outputs, pinned in cli_golden.json.
+"""Byte-for-byte CLI outputs, pinned in cli_golden.json and cli_usage_golden.json.
 
-Each case is one `qpcert` invocation (argv, optional stdin) with its
-expected exit code and exact stdout.  The cases cover every subcommand
-in text, json and csv form, so any change to rendering, to the
-coefficient computation or to interpolation that alters a single
-output byte fails here.  Each json document is also checked against the
-stdlib encoder's canonical form.
+Each case of cli_golden.json is one `qpcert` invocation (argv, optional
+stdin) with its expected exit code and exact stdout.  The cases cover
+every subcommand in text, json and csv form, so any change to
+rendering, to the coefficient computation or to interpolation that
+alters a single output byte fails here.  Each json document is also
+checked against the stdlib encoder's canonical form.  Each case of
+cli_usage_golden.json is a help call or a usage error, with its exit
+code, stdout and stderr as argparse prints them at 80 columns.
 """
 
 import contextlib
@@ -113,3 +115,22 @@ def test_reused_parser_keeps_no_state(monkeypatch):
             assert code == 2 and out == "" and err.startswith("usage: qpcert"), argv
         else:
             assert (code, out) == expected, argv
+
+
+USAGE = json.loads((Path(__file__).parent / "cli_usage_golden.json").read_text(encoding="utf-8"))
+HELP_WORDS = [(), ("coeffs",), ("certify",), ("triangles",), ("triangles", "count"),
+              ("triangles", "list"), ("fit",), ("paper",)]
+
+
+def test_usage_cases_cover_every_parser_and_usage_error():
+    argvs = [case["argv"] for case in USAGE]
+    assert [tuple(argv[:-1]) for argv in argvs if argv[-1:] == ["--help"]] == HELP_WORDS
+    assert all(argv in argvs for argv in USAGE_ERRORS)
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[c["name"] for c in USAGE])
+def test_help_and_usage_errors_are_byte_identical(case, monkeypatch):
+    # argparse wraps help and usage to the terminal's width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (case["exit"], case["stdout"], case["stderr"])
+    assert _run(monkeypatch, case["argv"], None) == expected
