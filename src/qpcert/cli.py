@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: coeffs, certify, triangles (count|list), fit, paper.
-A command call of exact long flags, each at most once, as --flag=value,
---flag value (a value not starting with -) or a bare store_true flag, is
-read in one pass without argparse (_read_argv), from a table taken from
-its subcommand's parser.  Every other call (help, --, an abbreviated or
-repeated flag, any usage error) goes through the full argparse parser,
-which prints every help text and every error.
+Each command's flags are declared once, in _COMMANDS.  A command call of
+exact long flags, each at most once, as --flag=value, --flag value (a
+value not starting with -) or a bare switch, is read in one pass by
+_read_argv; every other call (help, --, an abbreviated or repeated flag,
+any usage error) goes to argparse, whose parser is built from _COMMANDS
+then and prints every help text and every error.
 Every command renders one output document in text, json or csv form.  A
 document holds ints, int lists, strs, bools and None as they are; the
 writers print every int as its decimal string and every fraction is a
@@ -30,21 +30,21 @@ large to allocate, or running out of memory.  A stdout closed by its
 reader (``qpcert coeffs ... | head``) ends the output, not the command:
 the exit code stays the command's own.
 
-This module imports only the standard library.  Each command imports the
-library modules it runs when it dispatches (see _Library), so parsing,
---help and usage errors load none: coeffs loads genfunc and polynomial,
-certify and fit load certify (with closedform, genfunc, polynomial and
-quasipoly), and paper and triangles load triangles, closedform, genfunc
-and polynomial.
+This module imports only the standard library, and argparse only for a
+call _read_argv declines.  Each command imports the library modules it
+runs when it dispatches (see _Library), so parsing, --help and usage
+errors load none: coeffs loads genfunc and polynomial, certify and fit
+load certify (with closedform, genfunc, polynomial and quasipoly), and
+paper and triangles load triangles, closedform, genfunc and polynomial.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 SCHEMA_VERSION = "1"
 PROBE_N_MAX = 100000
@@ -103,14 +103,14 @@ def _ints(text: str, sep: str | None) -> list[int]:
 
 
 def _int_arg(low: int | None = None):
-    """argparse type for one integer, at least low (0 or 1) if given."""
+    """Type function for one integer, at least low (0 or 1) if given."""
     def read(text: str) -> int:
         try:
             [value] = _ints(text, ",")
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+            raise ValueError(f"expected an integer, got {text!r}")
         if low is not None and value < low:
-            raise argparse.ArgumentTypeError(
+            raise ValueError(
                 f"expected a {'positive' if low else 'non-negative'} integer, got {value}")
         return value
     return read
@@ -120,28 +120,14 @@ def _int_list_arg(text: str) -> list[int]:
     try:
         return _ints(text, ",")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
 def _parts_arg(text: str) -> list[int]:
     parts = _int_list_arg(text)
     if min(parts) < 1:
-        raise argparse.ArgumentTypeError(f"part sizes must be positive, got {text!r}")
+        raise ValueError(f"part sizes must be positive, got {text!r}")
     return parts
-
-
-def _add_format_flag(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-
-def _add_gf_flags(p: argparse.ArgumentParser):
-    p.add_argument("--parts", type=_parts_arg, required=True,
-                   help="denominator part sizes, e.g. 2,3,4")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--shift", type=_int_arg(0),
-                       help="numerator q^shift")
-    group.add_argument("--num", type=_int_list_arg,
-                       help="numerator coefficients c0,c1,... (low to high)")
 
 
 def _gf_from_args(args) -> RationalGF:
@@ -466,140 +452,154 @@ def _cmd_paper(args) -> int:
     return 0 if equal else 1
 
 
-# -- parser -------------------------------------------------------------
+# -- flags and parsers -------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _flag(name: str, read=None, *, choices=None, default=None, required=False, group=None,
+          help=None, metavar=None) -> tuple:
+    """One flag of _COMMANDS, in the terms of argparse's add_argument.
+
+    read, its type function, raises ValueError on a bad value.  A flag
+    whose default is False is a switch, which takes no value and stores
+    True.  A group's flags exclude each other; required on them requires
+    one of the group.
+    """
+    return name, read, choices, default, required, group, help, metavar
+
+
+_PARTS = _flag("--parts", _parts_arg, required=True, help="denominator part sizes, e.g. 2,3,4")
+_SHIFT = _flag("--shift", _int_arg(0), required=True, group="numerator",
+               help="numerator q^shift")
+_NUM = _flag("--num", _int_list_arg, required=True, group="numerator",
+             help="numerator coefficients c0,c1,... (low to high)")
+_FORMAT = _flag("--format", choices=("text", "json", "csv"), default="text")
+_TRIANGLES = (_flag("--perimeter", _int_arg(0), required=True), _FORMAT)
+
+# command words -> (help, handler, flags), in the order --help lists them;
+# ("triangles",) has no handler, only the subcommands below it
+_COMMANDS = {
+    ("coeffs",): ("print power-series coefficients", _cmd_coeffs, (
+        _PARTS, _SHIFT, _NUM, _flag("--upto", _int_arg(0), required=True, help="last index N"),
+        _FORMAT)),
+    ("certify",): ("prove or refute coefficients == expression", _cmd_certify, (
+        _PARTS, _SHIFT, _NUM,
+        _flag("--expr", required=True, help="closed-form expression in n"),
+        _flag("--onset", _int_arg(0), help="claim the identity only for n >= onset"),
+        _flag("--probe", _int_arg(0), metavar="K",
+              help=f"after certifying, cross-check K random indices up to {PROBE_N_MAX}"),
+        _flag("--seed", _int_arg(), default=0, help="probe RNG seed"),
+        _FORMAT)),
+    ("triangles",): ("integer-sided triangles by perimeter", None, ()),
+    ("triangles", "count"): ("count triangles of a perimeter", _cmd_triangles_count, _TRIANGLES),
+    ("triangles", "list"): ("list triangles of a perimeter", _cmd_triangles_list, _TRIANGLES),
+    ("fit",): ("fit a quasi-polynomial ansatz to samples", _cmd_fit, (
+        _flag("--values", required=True, group="samples",
+              help="file of whitespace-separated integers"),
+        _flag("--stdin", default=False, required=True, group="samples",
+              help="read samples from stdin"),
+        _flag("--dmax", _int_arg(0), required=True, help="cap on the fitted degree"),
+        _flag("--lmax", _int_arg(1), required=True, help="cap on the fitted period"),
+        _flag("--holdout", _int_arg(1), default=1,
+              help="minimum samples kept unseen by the largest ansatz"),
+        _FORMAT)),
+    ("paper",): ("run the classic 37-term check of the triangle-count identity", _cmd_paper,
+                 (_FORMAT,)),
+}
+
+
+def _reader_table(handler, flags) -> tuple:
+    """One command's (flags, defaults, required, groups), as _read_argv reads them.
+
+    flags maps each flag name to (dest, type function, choices, None), or
+    a switch's to (dest, None, None, True); defaults holds each flag's
+    default and the handler; required holds the dests of required flags
+    outside a group; groups lists each group's (dests, required).
+    """
+    table, defaults, required, groups = {}, {"handler": handler}, set(), {}
+    for name, read, choices, default, needed, group, _, _ in flags:
+        dest = name[2:]
+        table[name] = (dest, None, None, True) if default is False else (dest, read, choices, None)
+        defaults[dest] = default
+        if group:
+            groups.setdefault(group, ([], needed))[0].append(dest)
+        elif needed:
+            required.add(dest)
+    return table, defaults, required, tuple(groups.values())
+
+
+_TABLES = {words: _reader_table(handler, flags)
+           for words, (_, handler, flags) in _COMMANDS.items() if handler}
+
+
+def build_parser():
     """The qpcert argument parser, built on the first call and then reused.
 
-    parse_args keeps no state between calls (each returns a new
-    Namespace), so one parser serves every main() call in a process.
-    Every caller gets the same object: do not modify it.
+    parse_args keeps no state between calls, so one parser serves every
+    main() call in a process.  Every caller gets it: do not modify it.
     """
     return _parsers()[0]
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with the "--" of --flag=-- read as the flag's value.
-
-    CPython 3.11's argparse drops that "--" and stores [] past the flag's
-    type function and choices, and the command then failed on it with a
-    TypeError (fit --dmax=--).  Here it goes through them like any value.
-    """
-
-    def _get_values(self, action, arg_strings):
-        if action.option_strings and arg_strings == ["--"]:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
-
-
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The qpcert parser and its command parsers, keyed by command words.
+def _parsers() -> tuple:
+    """The qpcert parser and its command parsers keyed by command words, from _COMMANDS.
 
-    The keys are ("coeffs",), ("certify",), ("fit",), ("paper",),
-    ("triangles", "count") and ("triangles", "list"): each parser that
-    sets a handler, under the words that select it.
+    Only a call that _read_argv declines imports argparse.  Each type
+    function is wrapped to raise ArgumentTypeError with its ValueError's
+    message, which argparse prints as the flag's error.
     """
-    parser = _Parser(
-        prog="qpcert",
-        description="Certify identities between rational generating function "
-                    "coefficients and closed-form quasi-polynomial expressions, "
-                    "with exact arithmetic throughout.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    import argparse
 
-    p = sub.add_parser("coeffs", help="print power-series coefficients")
-    _add_gf_flags(p)
-    p.add_argument("--upto", type=_int_arg(0), required=True, help="last index N")
-    _add_format_flag(p)
-    p.set_defaults(handler=_cmd_coeffs)
+    class Parser(argparse.ArgumentParser):
+        # CPython 3.11's argparse drops the "--" of --flag=-- and stores [] past
+        # the flag's type function and choices (fit --dmax=-- raised TypeError);
+        # here that "--" is the flag's value, read like any other
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
 
-    p = sub.add_parser("certify", help="prove or refute coefficients == expression")
-    _add_gf_flags(p)
-    p.add_argument("--expr", required=True, help="closed-form expression in n")
-    p.add_argument("--onset", type=_int_arg(0), default=None,
-                   help="claim the identity only for n >= onset")
-    p.add_argument("--probe", type=_int_arg(0), default=None, metavar="K",
-                   help=f"after certifying, cross-check K random indices up to {PROBE_N_MAX}")
-    p.add_argument("--seed", type=_int_arg(), default=0, help="probe RNG seed")
-    _add_format_flag(p)
-    p.set_defaults(handler=_cmd_certify)
+    def typed(read):
+        def convert(text):
+            try:
+                return read(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc))
+        return convert
 
-    p = sub.add_parser("triangles", help="integer-sided triangles by perimeter")
-    tsub = p.add_subparsers(dest="subcommand", required=True)
-    pc = tsub.add_parser("count", help="count triangles of a perimeter")
-    pc.add_argument("--perimeter", type=_int_arg(0), required=True)
-    _add_format_flag(pc)
-    pc.set_defaults(handler=_cmd_triangles_count)
-    pl = tsub.add_parser("list", help="list triangles of a perimeter")
-    pl.add_argument("--perimeter", type=_int_arg(0), required=True)
-    _add_format_flag(pl)
-    pl.set_defaults(handler=_cmd_triangles_list)
-
-    p = sub.add_parser("fit", help="fit a quasi-polynomial ansatz to samples")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--values", help="file of whitespace-separated integers")
-    group.add_argument("--stdin", action="store_true", help="read samples from stdin")
-    p.add_argument("--dmax", type=_int_arg(0), required=True,
-                   help="cap on the fitted degree")
-    p.add_argument("--lmax", type=_int_arg(1), required=True,
-                   help="cap on the fitted period")
-    p.add_argument("--holdout", type=_int_arg(1), default=1,
-                   help="minimum samples kept unseen by the largest ansatz")
-    _add_format_flag(p)
-    p.set_defaults(handler=_cmd_fit)
-
-    p = sub.add_parser("paper", help="run the classic 37-term check of the "
-                                     "triangle-count identity")
-    _add_format_flag(p)
-    p.set_defaults(handler=_cmd_paper)
-
-    commands = {(name,): p for name, p in sub.choices.items() if name != "triangles"}
-    commands.update({("triangles", name): p for name, p in tsub.choices.items()})
+    parser = Parser(prog="qpcert", description="Certify identities between rational generating "
+                    "function coefficients and closed-form quasi-polynomial expressions, with "
+                    "exact arithmetic throughout.")
+    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
+    commands = {}
+    for words, (command_help, handler, flags) in _COMMANDS.items():
+        p = subparsers[words[:-1]].add_parser(words[-1], help=command_help)
+        if handler is None:
+            subparsers[words] = p.add_subparsers(dest="subcommand", required=True)
+            continue
+        groups = {}
+        for name, read, choices, default, required, group, help, metavar in flags:
+            if group and group not in groups:
+                groups[group] = p.add_mutually_exclusive_group(required=required)
+            kind = {"action": "store_true"} if default is False else {
+                "type": read and typed(read), "choices": choices, "default": default,
+                "metavar": metavar}
+            (groups[group] if group else p).add_argument(
+                name, required=required and not group, help=help, **kind)
+        p.set_defaults(handler=handler)
+        commands[words] = p
     return parser, commands
 
 
-@functools.cache
-def _flag_table(command: argparse.ArgumentParser) -> tuple:
-    """command's flags as _read_argv reads them, taken from its argparse actions.
-
-    Built on the first call for each command, not with the parser.  A
-    tuple (flags, defaults, required, groups):
-    - flags maps each long option string of a one-value store action to
-      (dest, type, choices, None), and of a store_true-like action to
-      (dest, None, None, const); help's flags are left out;
-    - defaults is what a new Namespace holds before any flag is read:
-      each action's default and the parser's set_defaults (the handler);
-    - required is the set of dests of required flags;
-    - groups lists (dests, required) for each mutually exclusive group.
-    """
-    flags, defaults = {}, dict(command._defaults)
-    for action in command._actions:
-        if action.default is not argparse.SUPPRESS:
-            defaults[action.dest] = action.default
-        if type(action) is argparse._StoreAction and action.nargs is None:
-            spec = (action.dest, action.type, action.choices, None)
-        elif isinstance(action, argparse._StoreConstAction) and action.const is not None:
-            spec = (action.dest, None, None, action.const)
-        else:
-            continue
-        flags.update((name, spec) for name in action.option_strings if name.startswith("--"))
-    required = frozenset(action.dest for action in command._actions if action.required)
-    groups = tuple((frozenset(action.dest for action in group._group_actions), group.required)
-                   for group in command._mutually_exclusive_groups)
-    return flags, defaults, required, groups
-
-
-def _read_argv(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
+def _read_argv(table: tuple, tokens: list[str]) -> SimpleNamespace | None:
     """tokens read in one pass as the command parser of table would read them, or None.
 
-    table is the command's _flag_table; None leaves the call to argparse.
+    table is the command's entry in _TABLES; None leaves the call to argparse.
     It takes exact long flags, each at most once, as --flag=value (a
     value not starting with --) or --flag value (a value not starting
-    with -), and store_true flags alone.  Each value goes through its
+    with -), and switches alone.  Each value goes through its
     flag's type function and choices; then required flags and mutually
     exclusive groups are checked.  Anything else gives None: an unknown
     or abbreviated flag, a repeated one, -h, --, a stray word, a missing
@@ -632,7 +632,7 @@ def _read_argv(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
         if convert is not None:
             try:
                 value = convert(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except (TypeError, ValueError):
                 return None
         if choices is not None and value not in choices:
             return None
@@ -643,27 +643,24 @@ def _read_argv(table: tuple, tokens: list[str]) -> argparse.Namespace | None:
         count = len(read.keys() & dests)
         if count > 1 or needed and not count:
             return None
-    return argparse.Namespace(**{**defaults, **read})
+    return SimpleNamespace(**{**defaults, **read})
 
 
 def main(argv=None) -> int:
     """Run one qpcert call on argv (default sys.argv[1:]); return its exit code.
 
     A call that names a command (for triangles, also count or list) and
-    has a shape _read_argv takes (exact long flags, each at most once,
-    with valid values) is read in one pass, without argparse.  Every
-    other call goes through build_parser().parse_args(argv), which
-    prints every help text and every usage error.  Either way the
-    handler gets the same options, and help or a usage error prints the
-    same bytes, as with build_parser().parse_args(argv).
+    has a shape _read_argv takes is read in one pass, without argparse.
+    Every other call goes through build_parser().parse_args(argv), which
+    prints every help text and every usage error.  Either way the handler
+    gets the same options as from build_parser().parse_args(argv).
     """
-    parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     depth = 2 if argv[:1] == ["triangles"] else 1
-    command = commands.get(tuple(argv[:depth]))
-    args = None if command is None else _read_argv(_flag_table(command), argv[depth:])
+    table = _TABLES.get(tuple(argv[:depth]))
+    args = None if table is None else _read_argv(table, argv[depth:])
     if args is None:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import importlib
@@ -16,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpcert.cli
-from qpcert.cli import (_csv_fields, _flag_table, _ints, _join_ints, _json_dump, _read_argv,
-                        _table, build_parser, main)
+from qpcert.cli import (_COMMANDS, _TABLES, _csv_fields, _ints, _join_ints, _json_dump,
+                        _read_argv, _table, main)
 from qpcert.triangles import count_bruteforce
 
 from oracles import alcuin_count
@@ -552,22 +551,12 @@ DISPATCH_ARGV = (
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGV)
 def test_dispatch_matches_full_parser(monkeypatch, argv):
-    # the reference is main with no command parsers to dispatch to: every
+    # the reference is main with no command tables to dispatch to: every
     # call goes through build_parser().parse_args(argv), then the handler
     # under main's exception mapping
     dispatched = _run(monkeypatch, argv, None)
-    parser = build_parser()
-    monkeypatch.setattr("qpcert.cli._parsers", lambda: (parser, {}))
+    monkeypatch.setattr(qpcert.cli, "_TABLES", {})
     assert _run(monkeypatch, argv, None) == dispatched
-
-
-def _every_parser(parser):
-    """parser and every subcommand parser under it."""
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _every_parser(sub)
 
 
 # calls the one-pass reader must take: the golden command calls, and the
@@ -595,16 +584,14 @@ READER_ARGV = [
 
 @pytest.mark.parametrize("argv", READER_ARGV)
 def test_command_call_skips_full_parser(monkeypatch, argv):
-    # no parser, the full one or a command's, parses a command call: the
-    # reader takes it, with the same outcome
+    # no argparse parser is built for a command call: the reader takes it,
+    # with the same outcome
     expected = _run(monkeypatch, argv, "1 2 3 4 5 6 7 8")
 
-    def unused(*args, **kwargs):
+    def unused():
         raise AssertionError("argparse parsed a command call")
 
-    for parser in _every_parser(build_parser()):
-        monkeypatch.setattr(parser, "parse_args", unused)
-        monkeypatch.setattr(parser, "parse_known_args", unused)
+    monkeypatch.setattr(qpcert.cli, "_parsers", unused)
     assert _run(monkeypatch, argv, "1 2 3 4 5 6 7 8") == expected
 
 
@@ -653,11 +640,21 @@ def _names(items):
 
 
 def test_command_flags_cover_every_parser():
-    _, commands = qpcert.cli._parsers()
-    assert commands.keys() == COMMAND_FLAGS.keys()
-    for words, command in commands.items():
-        assert set(_names(COMMAND_FLAGS[words])) == (
-            {f for a in command._actions for f in a.option_strings} - {"-h", "--help"})
+    # the declared flags, in COMMAND_FLAGS's form, and each built parser's
+    _, parsers = qpcert.cli._parsers()
+    assert parsers.keys() == _TABLES.keys() == COMMAND_FLAGS.keys()
+    for words, parser in parsers.items():
+        items, groups = [], {}
+        for name, _, _, _, required, group, _, _ in _COMMANDS[words][2]:
+            if group in groups:
+                items[groups[group]] += (name,)
+            elif group and required:
+                groups[group] = len(items)
+                items.append((name,))
+            else:
+                items.append(name if required else f"{name}?")
+        assert items == COMMAND_FLAGS[words]
+        assert set(re.findall(r"--\w+", parser.format_help())) == {"--help", *_names(items)}
     assert FLAG_VALUES.keys() == {f for items in COMMAND_FLAGS.values() for f in _names(items)}
 
 
@@ -717,10 +714,8 @@ def _argparse_reading(command, tokens):
 @settings(max_examples=400, deadline=None)
 def test_read_argv_matches_command_parser(call):
     words, tokens, well_formed = call
-    parser, commands = qpcert.cli._parsers()
-    command = commands[words]
-    args = _read_argv(_flag_table(command), tokens)
-    reference = _argparse_reading(command, tokens)
+    args = _read_argv(_TABLES[words], tokens)
+    reference = _argparse_reading(qpcert.cli._parsers()[1][words], tokens)
     if well_formed:
         assert args is not None, tokens
     if args is not None:
@@ -728,13 +723,12 @@ def test_read_argv_matches_command_parser(call):
         assert vars(args) == vars(reference[0])
         # only the shapes it takes: exact flags, each once, no --value after =
         flags = [t.partition("=") for t in tokens if t.startswith("-")]
-        exact = {f for a in command._actions for f in a.option_strings if f.startswith("--")}
-        assert all(name in exact - {"--help"} and not value.startswith("--")
-                   for name, _, value in flags)
+        exact = {flag[0] for flag in _COMMANDS[words][2]}
+        assert all(name in exact and not value.startswith("--") for name, _, value in flags)
         assert len({name for name, _, _ in flags}) == len(flags)
     with pytest.MonkeyPatch.context() as mp:
         read = _run(mp, [*words, *tokens], "0 1 2 3 4 5 6 7 8 9 10 11")
-        mp.setattr("qpcert.cli._parsers", lambda: (parser, {}))
+        mp.setattr(qpcert.cli, "_TABLES", {})
         assert _run(mp, [*words, *tokens], "0 1 2 3 4 5 6 7 8 9 10 11") == read
 
 

@@ -94,30 +94,37 @@ def test_triangles_order_as_side_tuples():
 
 
 # (a qpcert.cli call, or None, and the modules that neither the import of
-# qpcert.cli nor that call may load)
+# qpcert.cli nor that call may load); only help and usage errors need
+# argparse, which loads gettext and locale, and its help formatter shutil
 LIBRARY = sorted(f"qpcert.{m.name}" for m in pkgutil.iter_modules(qpcert.__path__)
                  if m.name != "cli")
-GUARDS = [
-    (None, LIBRARY + ["fractions", "decimal", "dataclasses", "inspect", "pathlib"]),
-    (["coeffs", "--parts", "1,2", "--num", "1,0,1", "--upto", "9"],
-     ["qpcert.certify", "qpcert.closedform", "qpcert.quasipoly", "qpcert.triangles",
-      "fractions"]),
-    (["certify", "--parts", "2,3,4", "--shift", "3", "--expr",
-      "round(n^2/12) - floor(n/4)*floor((n+2)/4)", "--probe", "9"],
-     ["qpcert.triangles", "fractions", "decimal"]),
-]
+PARSER = ["argparse", "shutil", "gettext", "locale"]
+GUARDS = {
+    "import": (None, LIBRARY + PARSER + ["fractions", "decimal", "dataclasses", "inspect",
+                                         "pathlib"]),
+    "coeffs": (["coeffs", "--parts", "1,2", "--num", "1,0,1", "--upto", "9"],
+               PARSER + ["qpcert.certify", "qpcert.closedform", "qpcert.quasipoly",
+                         "qpcert.triangles", "fractions"]),
+    "certify": (["certify", "--parts", "2,3,4", "--shift", "3", "--expr",
+                 "round(n^2/12) - floor(n/4)*floor((n+2)/4)", "--probe", "9"],
+                PARSER + ["qpcert.triangles", "fractions", "decimal"]),
+    # the samples file is written by the test
+    "fit": (["fit", "--values", "samples", "--dmax", "1", "--lmax", "2"], PARSER),
+    "triangles-count": (["triangles", "count", "--perimeter", "12"], PARSER + ["fractions"]),
+}
 
 
-@pytest.mark.parametrize("argv, absent", GUARDS, ids=["import", "coeffs", "certify"])
-def test_cli_loads_only_what_the_command_runs(argv, absent):
+@pytest.mark.parametrize("argv, absent", GUARDS.values(), ids=GUARDS)
+def test_cli_loads_only_what_the_command_runs(argv, absent, tmp_path):
     # each module costs start-up time in every qpcert call that loads it;
     # -S keeps site's own imports out of the fresh interpreter, so only
     # qpcert's are seen
+    (tmp_path / "samples").write_text("0 1 2 3 4 5 6 7 8 9 10 11\n")
     call = "0" if argv is None else f"qpcert.cli.main({argv!r})"
     code = (f"import sys, qpcert.cli; code = {call}; "
             f"print(' '.join(m for m in {absent!r} if m in sys.modules), file=sys.stderr); "
             "sys.exit(code)")
     env = {**os.environ, "PYTHONPATH": str(Path(qpcert.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                         text=True)
+                         text=True, cwd=tmp_path)
     assert (run.returncode, run.stderr.split()) == (0, [])

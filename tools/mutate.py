@@ -17,8 +17,9 @@ database (a test that starts a fresh interpreter sees no mutant).  A
 mutant is killed if the run fails or outlasts max(30 s, 3 times the
 unmutated run).  A survivor listed in EQUIVALENT is reported with the
 reason it changes no certificate; any other survivor makes the script
-exit 1, and so does an EQUIVALENT label of a target that was run but
-that none of its mutants makes, since the code it described has changed.
+exit 1.  So does an EQUIVALENT label whose mutant was killed, since its
+reason no longer holds, and one of a target that was run but that none
+of its mutants makes, since the code it described has changed.
 It needs pytest and hypothesis; the tier-1 suite does not collect it.
 """
 
@@ -63,9 +64,9 @@ _COEFFS_AT = ("tests/test_genfunc.py",
               _FAR + "test_far_probe_rejects_formula_that_departs_past_10_to_12",
               _FAR + "test_rebuild_model_matches_expression")
 # test_cli.py checks _ints against int() of each field and pins which
-# texts the json scanner reads, checks _read_argv's Namespace against the
-# command parser's on drawn argv and pins the calls it must take;
-# test_cli_golden.py pins every CLI byte
+# texts the json scanner reads, checks what _read_argv reads against the
+# command parser's namespace on drawn argv and pins the calls it must take;
+# test_cli_golden.py pins every CLI byte, help and usage errors included
 _CLI = ("tests/test_cli.py", "tests/test_cli_golden.py")
 
 # target -> the tests each of its mutants runs against
@@ -294,6 +295,7 @@ class _Mutants:
     def __init__(self, made):
         self.made = made  # [(target, label, source)]
         self.unlisted = None  # survivors not in EQUIVALENT; None if the unmutated tests fail
+        self.killed = []  # EQUIVALENT labels whose mutant was killed
 
     def pytest_configure(self):
         # no examples carried between mutants: the tests' settings(), made as they are
@@ -314,6 +316,9 @@ class _Mutants:
             outcome = _run(session, loop, limit, target, source)
             if outcome != "passed":
                 outcome = f"killed ({outcome})"
+                if label in EQUIVALENT:
+                    outcome += ", but listed as EQUIVALENT"
+                    self.killed.append(label)
             elif label in EQUIVALENT:
                 outcome = f"survived, equivalent: {EQUIVALENT[label]}"
             else:
@@ -332,7 +337,7 @@ def main(argv) -> int:
     made = {target: mutants(target) for target in targets}
     labels = {label for pairs in made.values() for label, _ in pairs}
     stale = [label for label in EQUIVALENT if label.split(": ")[0] in made and label not in labels]
-    unlisted = []
+    unlisted, killed = [], []
     for tests in dict.fromkeys(TARGETS[target] for target in targets):
         plugin = _Mutants([(target, label, source) for target in targets if TARGETS[target] == tests
                            for label, source in made[target]])
@@ -342,13 +347,17 @@ def main(argv) -> int:
             print(f"the unmutated {' '.join(tests)} fail; no mutant was run")
             return 2
         unlisted += plugin.unlisted
+        killed += plugin.killed
     print(f"{len(unlisted)} survivor(s) not listed as equivalent")
     for label in unlisted:
+        print(f"  {label}")
+    print(f"{len(killed)} EQUIVALENT label(s) whose mutant was killed")
+    for label in killed:
         print(f"  {label}")
     print(f"{len(stale)} EQUIVALENT label(s) that no mutant of their target makes")
     for label in stale:
         print(f"  {label}")
-    return 1 if unlisted or stale else 0
+    return 1 if unlisted or killed or stale else 0
 
 
 if __name__ == "__main__":
