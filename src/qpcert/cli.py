@@ -5,8 +5,8 @@ Each command's flags are declared once, in _COMMANDS.  A command call of
 exact long flags, each at most once, as --flag=value, --flag value (a
 value not starting with -) or a bare switch, is read in one pass by
 _read_argv; every other call (help, --, an abbreviated or repeated flag,
-any usage error) goes to argparse, whose parser is built from _COMMANDS
-then and prints every help text and every error.
+any usage error) goes to an argparse parser built from _COMMANDS when
+first needed, which prints every help text and every error.
 Every command renders one output document in text, json or csv form.  A
 document holds ints, int lists, strs, bools and None as they are; the
 writers print every int as its decimal string and every fraction is a

@@ -124,7 +124,7 @@ def test_cli_loads_only_what_the_command_runs(argv, absent, tmp_path):
     code = (f"import sys, qpcert.cli; code = {call}; "
             f"print(' '.join(m for m in {absent!r} if m in sys.modules), file=sys.stderr); "
             "sys.exit(code)")
-    env = {**os.environ, "PYTHONPATH": str(Path(qpcert.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(qpcert.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, cwd=tmp_path)
     assert (run.returncode, run.stderr.split()) == (0, [])
