@@ -26,14 +26,16 @@ it knows nothing of the start value or the divisor's primes, so it
 checks that the least T is found without the theory that finds it.
 alcuin_count counts triangles by perimeter with the parity form, without
 Andrews's formula or a loop.  replace is the tests' dataclasses.replace:
-it rebuilds a value through its class's constructor.  expansions is no
-oracle but a spy: it records the expansion lengths a call asks
-RationalGF.coeffs for.
+it rebuilds a value through its class's constructor.  expansions and
+compiles are no oracles but spies: they record the expansion lengths a
+call asks RationalGF.coeffs for, and the compile calls that closedform
+makes during a call.
 """
 
 import math
 from fractions import Fraction
 
+import qpcert.closedform
 from qpcert.certify import FitResult
 from qpcert.closedform import Add, Const, Floor, Mul, Neg, Pow, Round, Sub, Var, expr_values
 from qpcert.genfunc import RationalGF
@@ -59,6 +61,25 @@ def expansions(monkeypatch, call, *args, **kwargs):
                       lambda self, upto: uptos.append(upto) or coeffs(self, upto))
         out = call(*args, **kwargs)
     return out, uptos
+
+
+def compiles(monkeypatch, call, *args, **kwargs):
+    """call(*args, **kwargs) and, per compile that closedform made, None or its error's type."""
+    outcomes = []
+
+    def spy(*a, **k):
+        try:
+            code = compile(*a, **k)
+        except Exception as error:
+            outcomes.append(type(error))
+            raise
+        outcomes.append(None)
+        return code
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qpcert.closedform, "compile", spy, raising=False)
+        out = call(*args, **kwargs)
+    return out, outcomes
 
 
 def naive_triangle_count(n: int) -> int:

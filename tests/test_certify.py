@@ -12,13 +12,16 @@ from qpcert.certify import (
     rebuild_model,
     soundness_probe,
 )
-from qpcert.closedform import Expr, _bounds, _Division, expr_bounds, expr_to_qp, expr_values, parse
+from qpcert.closedform import (
+    _COMPILE_FROM, Expr, _bounds, _Division, expr_bounds, expr_to_qp, expr_values, parse,
+)
 from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
 from qpcert.triangles import andrews_expr, triangle_gf
 
 from oracles import (
     alcuin_count,
+    compiles,
     expansions,
     fraction_agrees,
     frac_mul,
@@ -410,6 +413,28 @@ def test_certify_window_is_the_full_search_window(draw):
     w = cert.refutation
     assert (None if w is None else (w.n, w.lhs, w.rhs)) == scan_first_mismatch(
         gf.coeffs(stop - 1), expr, cert.window)
+
+
+# (expression, the window's length): certify-small windows hold at most
+# 192 values, certify-wide ones 699 to 2904
+_WINDOWS = [(ANDREWS, 36), ("round(n^3/48)", 192), ("floor(n/16)*floor((n + 9)/17)", 816),
+            ("round(n^3/300)", 1200), ("floor((n^2 + 7*n)/1000)", 3000)]
+
+
+@pytest.mark.parametrize("text, size", _WINDOWS, ids=[str(size) for _, size in _WINDOWS])
+def test_only_a_wide_window_is_compiled(monkeypatch, text, size):
+    # expr_values compiles a range of _COMPILE_FROM values or more once, and
+    # evaluates every shorter one as a column; the fold's period searches
+    # test blocks of d*p values, here at most 3, whether certify gives the
+    # fold its cover or the full search runs
+    expr = parse(text)
+    degree, period = expr_bounds(expr)
+    gf = _identity_gf(expr, period, degree)
+    cert, compiled = compiles(monkeypatch, certify, gf, expr)
+    assert cert.certified and len(cert.window) == size
+    assert compiled == ([None] if size >= _COMPILE_FROM else [])
+    _, compiled = compiles(monkeypatch, _bounds, expr)
+    assert compiled == []
 
 
 @pytest.mark.parametrize("text", BATTERY)

@@ -18,7 +18,9 @@ from qpcert.closedform import (
     Round,
     Sub,
     Var,
+    _COMPILE_FROM,
     _Column,
+    _Source,
     _bounds,
     expr_bounds,
     expr_eval,
@@ -30,7 +32,7 @@ from qpcert.closedform import (
 from qpcert.polynomial import Poly
 from qpcert.quasipoly import QuasiPoly
 
-from oracles import _reference_has_division, oracle_eval, reference_expr_bounds
+from oracles import _reference_has_division, compiles, oracle_eval, reference_expr_bounds
 from test_acceptance import ANDREWS, BATTERY as _ACCEPTANCE_BATTERY
 
 # the acceptance battery of closed forms exercising nesting, round-of-floor
@@ -459,19 +461,56 @@ def test_expr_values_match_fraction_oracle(e, start, length):
     assert expr_values(e, ns) == [oracle_eval(e, n) for n in ns]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_exprs(), _exprs(WIDE_DIVISORS, max_leaves=4)),
+       st.integers(min_value=-3000, max_value=100), st.integers(min_value=512, max_value=2048))
+def test_wide_expr_values_match_eval_and_oracle(e, start, length):
+    # a range this long is evaluated as compiled source text, not as a column
+    assert length >= _COMPILE_FROM
+    ns = range(start, start + length)
+    values = expr_values(e, ns)
+    assert values == [expr_eval(e, n) for n in ns]
+    assert values == [oracle_eval(e, n) for n in ns]
+
+
 @pytest.mark.parametrize("text", ["7", "floor(-7/2)*3", "(2 - 5)^3", "round(9/4) + 0"])
-def test_expr_values_broadcast_constant(text):
+def test_expr_values_broadcast_constant(monkeypatch, text):
     e = parse(text)
-    for ns in (range(-5, 6), range(3, 3), [10**30, -1]):
-        assert expr_values(e, ns) == [expr_eval(e, 0)] * len(ns)
+    for ns in (range(-5, 6), range(3, 3), [10**30, -1], range(-300, 300)):
+        values, compiled = compiles(monkeypatch, expr_values, e, ns)
+        assert values == [expr_eval(e, 0)] * len(ns)
+        assert compiled == []
+
+
+def test_wide_expr_values_bind_constants_by_name(monkeypatch):
+    # 10^5000 has more digits than int-to-str converts by default, so the
+    # source text must name it, not spell it
+    ns = range(-600, 600)
+    for e in (Add(Var(), Const(10**5000)), parse("floor((n*10^5000 - n^2)/7) + 10^4400")):
+        values, compiled = compiles(monkeypatch, expr_values, e, ns)
+        assert values == [expr_eval(e, n) for n in ns]
+        assert compiled == [None]
+
+
+@pytest.mark.parametrize("text", ["-" * 250 + "n", " + ".join(["n"] * 300),
+                                  "floor(" * 210 + "n" + "/3)" * 210], ids=["neg", "sum", "floor"])
+def test_wide_expr_values_too_deep_to_compile_fall_back(monkeypatch, text):
+    # each node of the source is one pair of parentheses, and compile
+    # refuses to nest 200; the column gives the values instead
+    e = parse(text)
+    ns = range(-300, 300)
+    values, compiled = compiles(monkeypatch, expr_values, e, ns)
+    assert values == [expr_eval(e, n) for n in ns]
+    assert compiled == [SyntaxError]
 
 
 def test_expr_values_takes_any_int_iterable():
     e = parse(ANDREWS)
     ns = [36, -13, 0, 36]
     assert expr_values(e, iter(ns)) == [expr_eval(e, n) for n in ns]
-    with pytest.raises(TypeError):
-        expr_values(e, [Fraction(1, 2)])
+    for bad in ([Fraction(1, 2)], [*range(_COMPILE_FROM), Fraction(1, 2)]):
+        with pytest.raises(TypeError):
+            expr_values(e, bad)
 
 
 def test_column_rejects_unsupported_operands():
@@ -484,17 +523,32 @@ def test_column_rejects_unsupported_operands():
     assert (-col).values == [-1, -2, -3]
     assert (col ** 2).values == [1, 4, 9]
     assert ((-col) // 2).values == [-1, -1, -2]
-    qp = QuasiPoly.constant(1)
-    for other in (Fraction(1, 2), qp, [4], (4,), "4", 1.5):
+    _rejects_unsupported_operands(col)
+
+
+def _rejects_unsupported_operands(x):
+    """Binding x of n raises TypeError on any operand but an int or its own kind, and
+    as an exponent or a divisor."""
+    for other in (Fraction(1, 2), QuasiPoly.constant(1), [4], (4,), "4", 1.5):
         for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
             with pytest.raises(TypeError):
-                op(col, other)
+                op(x, other)
             with pytest.raises(TypeError):
-                op(other, col)
+                op(other, x)
         with pytest.raises(TypeError):
-            col ** other
+            x ** other
         with pytest.raises(TypeError):
-            col // other
-    for op in (lambda: col ** col, lambda: col // col, lambda: 2 ** col, lambda: 6 // col):
+            x // other
+    for op in (lambda: x ** x, lambda: x // x, lambda: 2 ** x, lambda: 6 // x):
         with pytest.raises(TypeError):
             op()
+
+
+def test_source_builds_text_and_rejects_unsupported_operands():
+    # each int is named in the order the operators meet it: -n*2 before 3 - ...
+    scope = {}
+    n = _Source("n", scope)
+    assert (3 - -n * 2 + n ** 2 // 5 - n).text == "(((c1-((-n)*c0))+((n**c2)//c3))-n)"
+    assert scope == {"c0": 2, "c1": 3, "c2": 2, "c3": 5}
+    assert (7 * n).text == "(n*c4)" and (n * 7).text == "(n*c5)"
+    _rejects_unsupported_operands(n)

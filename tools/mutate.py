@@ -63,6 +63,24 @@ _COEFFS_AT = ("tests/test_genfunc.py",
               _FAR + "test_soundness_probe_far_past_any_expansion",
               _FAR + "test_far_probe_rejects_formula_that_departs_past_10_to_12",
               _FAR + "test_rebuild_model_matches_expression")
+# test_closedform.py checks expr_values against expr_eval and the Fraction
+# oracle on short ranges and on wide ones, which it compiles, with a
+# constant past the int-to-str limit and texts too deep to compile, and pins
+# the source binding's text; test_certify.py pins which certify windows are
+# compiled.  The fixed cases come first: a wrong text fails them at once,
+# where the period searches of the rest of test_closedform.py could run on
+# wrong values to the time limit
+_CF = "tests/test_closedform.py::"
+_VALUES = tuple(_CF + name for name in (
+    "test_source_builds_text_and_rejects_unsupported_operands",
+    "test_wide_expr_values_bind_constants_by_name",
+    "test_wide_expr_values_too_deep_to_compile_fall_back",
+    "test_expr_values_broadcast_constant",
+    "test_expr_values_takes_any_int_iterable",
+    "test_wide_expr_values_match_eval_and_oracle",
+    "test_expr_values_match_expr_eval",
+    "test_expr_values_match_fraction_oracle",
+)) + ("tests/test_certify.py::test_only_a_wide_window_is_compiled",)
 # test_cli.py checks _ints against int() of each field and pins which
 # texts the json scanner reads, checks what _read_argv reads against the
 # command parser's namespace on drawn argv and pins the calls it must take;
@@ -74,6 +92,10 @@ TARGETS = {
     "closedform._bounds": _BOUNDS,
     "closedform._floor_period": _BOUNDS,
     "closedform._prime_factors": _BOUNDS,
+    "closedform.expr_values": _VALUES,
+    **{f"closedform._Source.{method}": _VALUES for method in (
+        "_text", "_apply", "__add__", "__sub__", "__rsub__", "__mul__", "__neg__", "__pow__",
+        "__floordiv__")},
     "certify._ranges": _BOUNDS,
     "certify.certify": _CERTIFY,
     "certify.soundness_probe": _CERTIFY,
@@ -96,6 +118,31 @@ EXTRA = {
     "genfunc.RationalGF.period_bound": [
         ("the largest part, not lcm(parts)", "math.lcm(*self.parts)", "max(self.parts)"),
     ],
+    # expr_values' fork, and edits of the text that the source binding's
+    # operators build, which no operator swap reaches
+    "closedform.expr_values": [
+        ("compile every range", "len(ns) >= _COMPILE_FROM", "len(ns) >= 0"),
+        ("no fallback past the parser's nesting limit", "except (SyntaxError, RecursionError",
+         "except (RecursionError"),
+    ],
+    "closedform._Source._text": [
+        ("spell an int's digits, not its name", "name = f'c{len(self.scope)}'", "name = repr(x)"),
+        ("one name for every int", "f'c{len(self.scope)}'", "'c'"),
+    ],
+    "closedform._Source._apply": [
+        ("no parentheses", "f'({self._text(left)}{symbol}{self._text(right)})'",
+         "f'{self._text(left)}{symbol}{self._text(right)}'"),
+        ("operands swapped", "{self._text(left)}{symbol}{self._text(right)}",
+         "{self._text(right)}{symbol}{self._text(left)}"),
+    ],
+    "closedform._Source.__add__": [("+ as -", "'+'", "'-'")],
+    "closedform._Source.__sub__": [("- as +", "'-'", "'+'")],
+    "closedform._Source.__rsub__": [("x - n as n - x", "_apply(other, '-', self)",
+                                     "_apply(self, '-', other)")],
+    "closedform._Source.__mul__": [("* as +", "'*'", "'+'")],
+    "closedform._Source.__neg__": [("no minus", "f'(-{self.text})'", "f'({self.text})'")],
+    "closedform._Source.__pow__": [("** as *", "'**'", "'*'")],
+    "closedform._Source.__floordiv__": [("// as /", "'//'", "'/'")],
 }
 
 _CAP = "closedform._prime_factors: q * q <= n and q < 1 << 16 -> "
@@ -126,6 +173,10 @@ _EMPTY_TAIL = "adds one start at or past the series' end, whose slices are empty
 
 # label -> why the mutant changes no certificate
 EQUIVALENT = {
+    "closedform.expr_values: isinstance(ns, range) and len(ns) >= _COMPILE_FROM -> "
+    "isinstance(ns, range) and len(ns) > _COMPILE_FROM":
+        "moves the threshold between the column and the compiled text by one index; "
+        "both paths give the same values",
     "closedform._floor_period: d == 0 -> d == -1":
         "a shortcut: with d = 0 every block is empty, so every test passes and "
         "the descent divides t down to 1, or given a cover only while that "
