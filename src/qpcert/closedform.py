@@ -27,7 +27,9 @@ that support them:
   one pass, each operator applied to every entry at once;
 - n's source text: expr_values over a wide range, where each operator
   builds the text of its result and the text of the whole expression is
-  compiled once into one list comprehension over the range;
+  compiled into one list comprehension over the range, once per text per
+  process: constants are names in the text, so every expression of one
+  shape reuses the same code;
 - the identity quasi-polynomial: expr_to_qp, which so computes exactly
   the quasi-polynomial that every well-formed expression is.
 
@@ -443,8 +445,18 @@ class _Source:
 
 # expr_values compiles a range of at least this many indices: about where
 # the compiled list saves what compiling its text costs (the measured
-# break-even on CPython 3.11 lies between 384 and 640 values).
+# break-even on CPython 3.11 lies between 384 and 640 values).  It is the
+# break-even of a cold call, whose text is not compiled yet, since a CLI
+# call always is one: a shorter range is not worth compiling even though
+# a later call may reuse the code.
 _COMPILE_FROM = 512
+
+# expr_values' compiled code of each text, or False for a text that
+# compile refused; emptied when it holds _CODES_MAX texts.  Only the text
+# is the key: the code holds no constant, and each call evaluates it in a
+# scope of its own.
+_CODES: dict = {}
+_CODES_MAX = 256
 
 
 def expr_values(e: Expr, ns) -> list[int]:
@@ -454,13 +466,19 @@ def expr_values(e: Expr, ns) -> list[int]:
     instead of once per index; a constant expression's int is repeated.
 
     A range of at least _COMPILE_FROM indices is the one exception: n is
-    bound to its source text, and [text for n in ns] is compiled once and
-    evaluated, with no builtins and only ns and the text's constants in
-    scope.  The column makes one list per node; one comprehension over the
-    whole expression takes about half as long per value, which repays the
-    compile from about 512 values on (certify's wide windows), but not on
-    short windows or on period-search blocks of a few values.  A text
-    nested deeper than compile accepts falls back to the column.
+    bound to its source text, and [text for n in ns] is compiled once per
+    text per process and evaluated, with no builtins and only ns and this
+    call's constants in scope.  The column makes one list per node; one
+    comprehension over the whole expression takes about half as long per
+    value, which repays a cold compile from about 512 values on (certify's
+    wide windows), but not on short windows or on period-search blocks of
+    a few values.  Constants are names in the text, so the expressions of
+    one shape share one text, and a later call of that shape reuses the
+    code in _CODES.  A text nested deeper than compile accepts falls back
+    to the column, and that refusal is remembered too; a MemoryError is
+    not.  Threads may share the cache: each of its operations is one dict
+    operation, and a race can only lose an entry, which costs one more
+    compile.
 
     >>> expr_values(parse("floor(n/4)"), range(-3, 5))
     [-1, -1, -1, 0, 0, 0, 0, 1]
@@ -472,11 +490,18 @@ def expr_values(e: Expr, ns) -> list[int]:
         v = _interpret(e, _Source("n", scope))
         if not isinstance(v, _Source):
             return [v] * len(ns)
-        try:
-            code = compile(f"[{v.text} for n in ns]", "<expr_values>", "eval")
-        except (SyntaxError, RecursionError, MemoryError):
-            pass  # nested too deep for CPython's parser or compiler
-        else:
+        text = f"[{v.text} for n in ns]"
+        code = _CODES.get(text)
+        if code is None:
+            if len(_CODES) >= _CODES_MAX:
+                _CODES.clear()
+            try:
+                code = _CODES[text] = compile(text, "<expr_values>", "eval")
+            except (SyntaxError, RecursionError):
+                code = _CODES[text] = False  # nested too deep for CPython's parser or compiler
+            except MemoryError:
+                code = False  # not remembered: a later call may find the memory
+        if code:
             return eval(code, scope)
     column = _Column(list(ns) if isinstance(ns, range) else list(map(operator.index, ns)))
     v = _interpret(e, column)

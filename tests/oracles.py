@@ -29,7 +29,7 @@ Andrews's formula or a loop.  replace is the tests' dataclasses.replace:
 it rebuilds a value through its class's constructor.  expansions and
 compiles are no oracles but spies: they record the expansion lengths a
 call asks RationalGF.coeffs for, and the compile calls that closedform
-makes during a call.
+makes during a call, which starts with no text compiled.
 """
 
 import math
@@ -64,7 +64,12 @@ def expansions(monkeypatch, call, *args, **kwargs):
 
 
 def compiles(monkeypatch, call, *args, **kwargs):
-    """call(*args, **kwargs) and, per compile that closedform made, None or its error's type."""
+    """call(*args, **kwargs) and, per compile that closedform made, None or its error's type.
+
+    The call starts with closedform's cache of compiled texts empty, so
+    what earlier calls compiled cannot change the count, and leaves the
+    process's own cache as it found it.
+    """
     outcomes = []
 
     def spy(*a, **k):
@@ -78,6 +83,7 @@ def compiles(monkeypatch, call, *args, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(qpcert.closedform, "compile", spy, raising=False)
+        patch.setattr(qpcert.closedform, "_CODES", {})
         out = call(*args, **kwargs)
     return out, outcomes
 

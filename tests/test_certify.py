@@ -415,14 +415,18 @@ def test_certify_window_is_the_full_search_window(draw):
         gf.coeffs(stop - 1), expr, cert.window)
 
 
-# (expression, the window's length): certify-small windows hold at most
-# 192 values, certify-wide ones 699 to 2904
-_WINDOWS = [(ANDREWS, 36), ("round(n^3/48)", 192), ("floor(n/16)*floor((n + 9)/17)", 816),
-            ("round(n^3/300)", 1200), ("floor((n^2 + 7*n)/1000)", 3000)]
+# (expression, the window's length, an expression of its shape with other
+# constants): certify-small windows hold at most 192 values, certify-wide
+# ones 699 to 2904
+_WINDOWS = [(ANDREWS, 36, ANDREWS.replace("n+2", "n+3")),
+            ("round(n^3/48)", 192, "round(n^2/48)"),
+            ("floor(n/16)*floor((n + 9)/17)", 816, "floor(n/16)*floor((n + 5)/17)"),
+            ("round(n^3/300)", 1200, "round(n^2/300)"),
+            ("floor((n^2 + 7*n)/1000)", 3000, "floor((n^2 + 3*n)/1000)")]
 
 
-@pytest.mark.parametrize("text, size", _WINDOWS, ids=[str(size) for _, size in _WINDOWS])
-def test_only_a_wide_window_is_compiled(monkeypatch, text, size):
+@pytest.mark.parametrize("text, size, other", _WINDOWS, ids=[str(w[1]) for w in _WINDOWS])
+def test_only_a_wide_window_is_compiled(monkeypatch, text, size, other):
     # expr_values compiles a range of _COMPILE_FROM values or more once, and
     # evaluates every shorter one as a column; the fold's period searches
     # test blocks of d*p values, here at most 3, whether certify gives the
@@ -435,6 +439,15 @@ def test_only_a_wide_window_is_compiled(monkeypatch, text, size):
     assert compiled == ([None] if size >= _COMPILE_FROM else [])
     _, compiled = compiles(monkeypatch, _bounds, expr)
     assert compiled == []
+    # the same shape with other constants reuses the first call's code, and
+    # certifies as a cold call does
+    other = parse(other)
+    (_, warm), compiled = compiles(monkeypatch, lambda: (certify(gf, expr), certify(gf, other)))
+    assert compiled == ([None] if size >= _COMPILE_FROM else [])
+    cold, compiled = compiles(monkeypatch, certify, gf, other)
+    assert compiled == ([None] if len(cold.window) >= _COMPILE_FROM else [])
+    assert warm.window == cold.window and len(cold.window) == size
+    assert warm.refutation == cold.refutation and cold.refutation is not None
 
 
 @pytest.mark.parametrize("text", BATTERY)

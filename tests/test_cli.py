@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qpcert.cli
+import qpcert.closedform
 from qpcert.cli import (_COMMANDS, _TABLES, _csv_fields, _ints, _join_ints, _json_dump,
                         _read_argv, _table, main)
 from qpcert.triangles import count_bruteforce
@@ -87,6 +88,19 @@ def test_certify_refuted_exit_one(capsys):
     assert code == 1
     assert "verdict: refuted" in out
     assert "witness: n=3 lhs=1 rhs=0" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_wide_certify_prints_the_same_cold_and_warm(capsys, monkeypatch, fmt):
+    # a 1200-value window, whose text expr_values compiles; both expressions
+    # have one shape, so one text, and each runs once on an empty cache and
+    # once on the code the first run left
+    for expr, verdict in (("floor(n/600) + 1", 0), ("floor(n/600) + 2", 1)):
+        monkeypatch.setattr(qpcert.closedform, "_CODES", {})
+        argv = ["certify", "--parts", "1,600", "--shift", "0", "--expr", expr, "--format", fmt]
+        cold = run(capsys, argv)
+        assert len(qpcert.closedform._CODES) == 1
+        assert run(capsys, argv) == cold and cold[0] == verdict and "1200" in cold[1]
 
 
 def test_certify_parse_error_exit_two(capsys):

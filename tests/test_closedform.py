@@ -18,6 +18,7 @@ from qpcert.closedform import (
     Round,
     Sub,
     Var,
+    _CODES_MAX,
     _COMPILE_FROM,
     _Column,
     _Source,
@@ -502,6 +503,58 @@ def test_wide_expr_values_too_deep_to_compile_fall_back(monkeypatch, text):
     values, compiled = compiles(monkeypatch, expr_values, e, ns)
     assert values == [expr_eval(e, n) for n in ns]
     assert compiled == [SyntaxError]
+
+
+def test_wide_expr_values_reuse_the_code_of_one_shape(monkeypatch):
+    # constants are names in the text, so these two share one text: it is
+    # compiled once, and each call evaluates that code with its own
+    # constants over its own range
+    exprs = [parse("floor((n^2 + 3*n)/234)"), parse("floor((n^2 + 7*n)/701)")] * 3
+    ranges = [range(100 * k - 300, 100 * k + 300) for k in range(len(exprs))]
+    runs, compiled = compiles(monkeypatch, lambda: list(map(expr_values, exprs, ranges)))
+    assert compiled == [None]
+    for e, ns, values in zip(exprs, ranges, runs):
+        assert values == [expr_eval(e, n) for n in ns]
+        assert values == [oracle_eval(e, n) for n in ns]
+
+
+def test_wide_expr_values_remember_a_text_too_deep_to_compile(monkeypatch):
+    e = parse(" + ".join(["n"] * 300))
+    ns = range(-300, 300)
+    runs, compiled = compiles(monkeypatch, lambda: [expr_values(e, ns) for _ in range(2)])
+    assert compiled == [SyntaxError]
+    assert runs == [expr_values(e, list(ns))] * 2
+
+
+def test_wide_expr_values_forget_running_out_of_memory(monkeypatch):
+    # a compile that ran out of memory gives the column's values, and the
+    # next call of the same text compiles it again
+    e = parse("n^2 - 3*n")
+    ns = range(600)
+    calls = []
+
+    def short_of_memory_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise MemoryError
+        return compile(*args)
+
+    monkeypatch.setattr(qpcert.closedform, "_CODES", {})
+    monkeypatch.setattr(qpcert.closedform, "compile", short_of_memory_once, raising=False)
+    assert [expr_values(e, ns) for _ in range(3)] == [[expr_eval(e, n) for n in ns]] * 3
+    assert len(calls) == 2
+
+
+def test_wide_expr_values_keep_the_cache_within_its_bound(monkeypatch):
+    # each i gives its own shape, n op n op ... n with + or * by the bits of
+    # i, so more shapes than the bound are compiled; every text has the
+    # same length, so a key that reads only the length would mix them up
+    ns = range(-300, 300)
+    monkeypatch.setattr(qpcert.closedform, "_CODES", {})
+    for i in range(_CODES_MAX + 44):
+        e = parse("n" + "".join(" +*"[1 + (i >> j & 1)] + "n" for j in range(9)))
+        assert expr_values(e, ns) == expr_values(e, list(ns))
+        assert 1 <= len(qpcert.closedform._CODES) <= _CODES_MAX
 
 
 def test_expr_values_takes_any_int_iterable():

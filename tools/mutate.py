@@ -9,17 +9,19 @@ in TARGETS with the tests its mutants run against.  Each mutant is one
 small edit to one target, made on its AST: an operator swapped (+ -,
 * //, and or, ...), an integer constant moved by +-1 or a bool flipped,
 a range() bound moved by +-1, or a comparison flipped (< <=, == !=,
-...); EXTRA adds hand-written ones.  One pytest.main call per set of
-tests collects them once and runs them unmutated in a forked child;
-then one child per mutant gives the live function the mutated code and
-defaults and runs them with -x, a fixed hypothesis seed and no example
-database (a test that starts a fresh interpreter sees no mutant).  A
-mutant is killed if the run fails or outlasts max(30 s, 3 times the
-unmutated run).  A survivor listed in EQUIVALENT is reported with the
-reason it changes no certificate; any other survivor makes the script
-exit 1.  So does an EQUIVALENT label whose mutant was killed, since its
-reason no longer holds, and one of a target that was run but that none
-of its mutants makes, since the code it described has changed.
+...); EXTRA adds hand-written ones, each one or more snippets of the
+target replaced.  One pytest.main call per set of tests collects them
+once and runs them unmutated in a forked child; then one child per
+mutant gives the live function the mutated code and defaults, empties
+closedform's cache of compiled texts, and runs them with -x, a fixed
+hypothesis seed and no example database (a test that starts a fresh
+interpreter sees no mutant).  A mutant is killed if the run fails or
+outlasts max(30 s, 3 times the unmutated run).  A survivor listed in
+EQUIVALENT is reported with the reason it changes no certificate; any
+other survivor makes the script exit 1.  So does an EQUIVALENT label
+whose mutant was killed, since its reason no longer holds, and one of a
+target that was run but that none of its mutants makes, since the code
+it described has changed.
 It needs pytest and hypothesis; the tier-1 suite does not collect it.
 """
 
@@ -65,9 +67,11 @@ _COEFFS_AT = ("tests/test_genfunc.py",
               _FAR + "test_rebuild_model_matches_expression")
 # test_closedform.py checks expr_values against expr_eval and the Fraction
 # oracle on short ranges and on wide ones, which it compiles, with a
-# constant past the int-to-str limit and texts too deep to compile, and pins
-# the source binding's text; test_certify.py pins which certify windows are
-# compiled.  The fixed cases come first: a wrong text fails them at once,
+# constant past the int-to-str limit and texts too deep to compile, pins
+# the source binding's text, and pins which calls reuse a compiled text and
+# that the cache of them stays within its bound; test_certify.py pins which
+# certify windows are compiled, cold and warm.  The fixed cases come first:
+# a wrong text or a stale cache entry fails them at once,
 # where the period searches of the rest of test_closedform.py could run on
 # wrong values to the time limit
 _CF = "tests/test_closedform.py::"
@@ -75,6 +79,10 @@ _VALUES = tuple(_CF + name for name in (
     "test_source_builds_text_and_rejects_unsupported_operands",
     "test_wide_expr_values_bind_constants_by_name",
     "test_wide_expr_values_too_deep_to_compile_fall_back",
+    "test_wide_expr_values_reuse_the_code_of_one_shape",
+    "test_wide_expr_values_remember_a_text_too_deep_to_compile",
+    "test_wide_expr_values_forget_running_out_of_memory",
+    "test_wide_expr_values_keep_the_cache_within_its_bound",
     "test_expr_values_broadcast_constant",
     "test_expr_values_takes_any_int_iterable",
     "test_wide_expr_values_match_eval_and_oracle",
@@ -109,7 +117,7 @@ TARGETS = {
     "cli._read_argv": _CLI,
 }
 
-# target -> [(label, source text in the target, replacement)]
+# target -> [(label, source text in the target, replacement[, text, replacement ...])]
 EXTRA = {
     "closedform._floor_period": [
         # once survived every tier-1 test and certified a false identity
@@ -124,6 +132,16 @@ EXTRA = {
         ("compile every range", "len(ns) >= _COMPILE_FROM", "len(ns) >= 0"),
         ("no fallback past the parser's nesting limit", "except (SyntaxError, RecursionError",
          "except (RecursionError"),
+        # the cache of compiled texts: each of these reuses what an earlier
+        # call of another text, or of other constants or another range, left
+        ("a key that ignores the text", "_CODES.get(text)", "_CODES.get(len(text))",
+         "_CODES[text] = compile", "_CODES[len(text)] = compile",
+         "_CODES[text] = False", "_CODES[len(text)] = False"),
+        ("the first call's values kept, not the code", "return eval(code, scope)",
+         "return _CODES.setdefault(code, eval(code, scope))"),
+        ("the first call's scope kept with the code", "eval(code, scope)",
+         "eval(code, _CODES.setdefault(code, scope))"),
+        ("a refused compile not remembered", "code = _CODES[text] = False", "code = False"),
     ],
     "closedform._Source._text": [
         ("spell an int's digits, not its name", "name = f'c{len(self.scope)}'", "name = repr(x)"),
@@ -305,10 +323,13 @@ def mutants(target):
             labels.add(label)
             out.append((label, source))
     original = ast.unparse(func)
-    for label, old, new in EXTRA.get(target, ()):
-        if original.count(old) != 1:
-            raise SystemExit(f"EXTRA mutant {label!r}: {old!r} is not in {target} exactly once")
-        out.append((f"{target}: {label}", original.replace(old, new)))
+    for label, *edits in EXTRA.get(target, ()):
+        source = original
+        for old, new in zip(edits[::2], edits[1::2]):
+            if original.count(old) != 1:
+                raise SystemExit(f"EXTRA mutant {label!r}: {old!r} is not in {target} exactly once")
+            source = source.replace(old, new)
+        out.append((f"{target}: {label}", source))
     return out
 
 
@@ -331,6 +352,8 @@ def _run(session, loop, limit: float, target=None, source=None) -> str:
             resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
             if source:
                 _swap(target, source)
+            # code compiled before the mutant's own could hide what it computes
+            pkgutil.resolve_name("qpcert.closedform._CODES").clear()
             signal.setitimer(signal.ITIMER_REAL, limit)  # SIGALRM after limit s; 0: never
             loop(session=session)  # pytest's own loop, which stops at the first failure (-x)
             code = 1 if session.testsfailed else 0
