@@ -19,17 +19,17 @@ Divisors inside floor/round must be positive integer literals.  floor
 rounds toward -inf; round is nearest-integer with ties going half-up.
 
 One interpreter gives the grammar its meaning, written with the integer
-operators + - * ** and //, and runs with n bound to one of four values
+operators + - * ** and //, and runs with n bound to one of three values
 that support them:
 
 - an int: expr_eval, the value at one index;
-- a column of ints: expr_values, the values over a whole index range in
-  one pass, each operator applied to every entry at once;
-- n's source text: expr_values over a wide range, where each operator
-  builds the text of its result and the text of the whole expression is
-  compiled into one list comprehension over the range, once per text per
-  process: constants are names in the text, so every expression of one
-  shape reuses the same code;
+- n's source text: expr_values, the values over many indices, where each
+  operator builds the text of its result and the text of the whole
+  expression is compiled into one list comprehension over the indices,
+  once per text per process: constants are names in the text, so every
+  expression of one shape reuses the same code.  Only a text nested too
+  deep for compile (some 200 parentheses) is evaluated index by index,
+  with n bound to each int;
 - the identity quasi-polynomial: expr_to_qp, which so computes exactly
   the quasi-polynomial that every well-formed expression is.
 
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import repeat
 
 from ._value import _Value, _set
 
@@ -304,7 +303,7 @@ def parse(text: str) -> Expr:
 
 
 def _interpret(e: Expr, n):
-    """Value of e with n bound to an int, a _Column, a _Source or a QuasiPoly.
+    """Value of e with n bound to an int, a _Source or a QuasiPoly.
 
     Floor is //, which divides toward -inf; round is nearest with ties
     half-up, computed as (v + m//2) // m so no floats are involved.  That
@@ -331,58 +330,6 @@ def _interpret(e: Expr, n):
 def expr_eval(e: Expr, n: int) -> int:
     """Evaluate at integer n; always yields an integer."""
     return _interpret(e, n)
-
-
-def _entrywise(op, left, right):
-    """op over a column and a column or int; an int on the left only for __rsub__."""
-    if isinstance(left, _Column) and isinstance(right, _Column):
-        return _Column(list(map(op, left.values, right.values)))
-    if isinstance(right, int):
-        return _Column(list(map(op, left.values, repeat(right))))
-    if isinstance(left, int):
-        return _Column(list(map(op, repeat(left), right.values)))
-    return NotImplemented
-
-
-class _Column:
-    """A column of ints under the integer operators _interpret uses.
-
-    + - * take a column or an int on either side, unary - negates, and
-    ** k and // m take an int k or m; each applies the int operator to
-    every entry with map; + and * commute, so their reflected forms are
-    aliases.  Any other operand raises TypeError, so a mistake cannot
-    turn into sequence concatenation or repetition.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: list):
-        self.values = values
-
-    def __add__(self, other):
-        return _entrywise(operator.add, self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _entrywise(operator.sub, self, other)
-
-    def __rsub__(self, other):
-        return _entrywise(operator.sub, other, self)
-
-    def __mul__(self, other):
-        return _entrywise(operator.mul, self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _Column(list(map(operator.neg, self.values)))
-
-    def __pow__(self, k):
-        return _entrywise(pow, self, k) if isinstance(k, int) else NotImplemented
-
-    def __floordiv__(self, m):
-        return _entrywise(operator.floordiv, self, m) if isinstance(m, int) else NotImplemented
 
 
 class _Source:
@@ -443,14 +390,6 @@ class _Source:
         return self._apply(self, "//", m) if isinstance(m, int) else NotImplemented
 
 
-# expr_values compiles a range of at least this many indices: about where
-# the compiled list saves what compiling its text costs (the measured
-# break-even on CPython 3.11 lies between 384 and 640 values).  It is the
-# break-even of a cold call, whose text is not compiled yet, since a CLI
-# call always is one: a shorter range is not worth compiling even though
-# a later call may reuse the code.
-_COMPILE_FROM = 512
-
 # expr_values' compiled code of each text, or False for a text that
 # compile refused; emptied when it holds _CODES_MAX texts.  Only the text
 # is the key: the code holds no constant, and each call evaluates it in a
@@ -460,52 +399,49 @@ _CODES_MAX = 256
 
 
 def expr_values(e: Expr, ns) -> list[int]:
-    """[expr_eval(e, n) for n in ns], in one interpreter pass.
+    """[expr_eval(e, n) for n in ns], in one compiled pass.
 
-    n is bound to the column of all indices, so the tree is walked once
-    instead of once per index; a constant expression's int is repeated.
-
-    A range of at least _COMPILE_FROM indices is the one exception: n is
-    bound to its source text, and [text for n in ns] is compiled once per
-    text per process and evaluated, with no builtins and only ns and this
-    call's constants in scope.  The column makes one list per node; one
-    comprehension over the whole expression takes about half as long per
-    value, which repays a cold compile from about 512 values on (certify's
-    wide windows), but not on short windows or on period-search blocks of
-    a few values.  Constants are names in the text, so the expressions of
-    one shape share one text, and a later call of that shape reuses the
-    code in _CODES.  A text nested deeper than compile accepts falls back
-    to the column, and that refusal is remembered too; a MemoryError is
-    not.  Threads may share the cache: each of its operations is one dict
-    operation, and a race can only lose an entry, which costs one more
-    compile.
+    ns is a range, used as it is, or any iterable of ints, read into a
+    list with operator.index.  n is bound to its source text, and
+    [text for n in ns] is compiled and evaluated, with no builtins and only
+    ns and this call's constants in scope; a constant expression's int is
+    repeated.  Constants are names in the text, so the expressions of one
+    shape share one text, and a compile, 40-60 us on CPython 3.11, is paid
+    once per shape per process: every later call of that shape, over any
+    indices, reuses the code in _CODES.  The first compile of a process
+    costs about 2 ms more, since the builtin compile sets up the
+    interpreter's AST node types.  A text nested deeper than compile accepts
+    is evaluated index by index with n bound to each int, and that refusal
+    is remembered too; a MemoryError is not.  Threads may share the cache:
+    each of its operations is one dict operation, and a race can only lose
+    an entry, which costs one more compile.
 
     >>> expr_values(parse("floor(n/4)"), range(-3, 5))
     [-1, -1, -1, 0, 0, 0, 0, 1]
     >>> expr_values(parse("2^3"), range(3))
     [8, 8, 8]
     """
-    if isinstance(ns, range) and len(ns) >= _COMPILE_FROM:
-        scope = {"__builtins__": {}, "ns": ns}
-        v = _interpret(e, _Source("n", scope))
-        if not isinstance(v, _Source):
-            return [v] * len(ns)
-        text = f"[{v.text} for n in ns]"
-        code = _CODES.get(text)
-        if code is None:
-            if len(_CODES) >= _CODES_MAX:
-                _CODES.clear()
-            try:
-                code = _CODES[text] = compile(text, "<expr_values>", "eval")
-            except (SyntaxError, RecursionError):
-                code = _CODES[text] = False  # nested too deep for CPython's parser or compiler
-            except MemoryError:
-                code = False  # not remembered: a later call may find the memory
-        if code:
-            return eval(code, scope)
-    column = _Column(list(ns) if isinstance(ns, range) else list(map(operator.index, ns)))
-    v = _interpret(e, column)
-    return v.values if isinstance(v, _Column) else [v] * len(column.values)
+    if not isinstance(ns, range):
+        ns = list(map(operator.index, ns))
+    size = len(ns)  # first: a range too long for len raises OverflowError before any work
+    scope = {"__builtins__": {}, "ns": ns}
+    v = _interpret(e, _Source("n", scope))
+    if not isinstance(v, _Source):
+        return [v] * size
+    text = f"[{v.text} for n in ns]"
+    code = _CODES.get(text)
+    if code is None:
+        if len(_CODES) >= _CODES_MAX:
+            _CODES.clear()
+        try:
+            code = _CODES[text] = compile(text, "<expr_values>", "eval")
+        except (SyntaxError, RecursionError):
+            code = _CODES[text] = False  # nested too deep for CPython's parser or compiler
+        except MemoryError:
+            code = False  # not remembered: a later call may find the memory
+    if code:
+        return eval(code, scope)
+    return [_interpret(e, n) for n in ns]
 
 
 def expr_to_qp(e: Expr) -> QuasiPoly:

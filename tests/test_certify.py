@@ -13,7 +13,7 @@ from qpcert.certify import (
     soundness_probe,
 )
 from qpcert.closedform import (
-    _COMPILE_FROM, Expr, _bounds, _Division, expr_bounds, expr_to_qp, expr_values, parse,
+    Expr, _bounds, _Division, expr_bounds, expr_to_qp, expr_values, parse,
 )
 from qpcert.genfunc import RationalGF
 from qpcert.polynomial import Poly
@@ -427,25 +427,27 @@ _WINDOWS = [(ANDREWS, 36, ANDREWS.replace("n+2", "n+3")),
 
 @pytest.mark.parametrize("text, size, other", _WINDOWS, ids=[str(w[1]) for w in _WINDOWS])
 def test_only_a_wide_window_is_compiled(monkeypatch, text, size, other):
-    # expr_values compiles a range of _COMPILE_FROM values or more once, and
-    # evaluates every shorter one as a column; the fold's period searches
-    # test blocks of d*p values, here at most 3, whether certify gives the
-    # fold its cover or the full search runs
+    # expr_values compiles every window, short or wide, once per shape: on
+    # a GF of the expression's own period certify's fold searches nothing,
+    # and the window's text is the one compile of a cold call
     expr = parse(text)
     degree, period = expr_bounds(expr)
     gf = _identity_gf(expr, period, degree)
     cert, compiled = compiles(monkeypatch, certify, gf, expr)
     assert cert.certified and len(cert.window) == size
-    assert compiled == ([None] if size >= _COMPILE_FROM else [])
+    assert compiled == [None]
+    # the full search tests blocks of d*p values, here at most 3, and
+    # compiles at most one text per floor or round whose operand it searches
     _, compiled = compiles(monkeypatch, _bounds, expr)
-    assert compiled == []
+    assert 1 <= len(compiled) <= len(list(_search_starts(expr)))
+    assert set(compiled) == {None}
     # the same shape with other constants reuses the first call's code, and
-    # certifies as a cold call does
+    # gets the window and witness of a cold call
     other = parse(other)
     (_, warm), compiled = compiles(monkeypatch, lambda: (certify(gf, expr), certify(gf, other)))
-    assert compiled == ([None] if size >= _COMPILE_FROM else [])
+    assert compiled == [None]
     cold, compiled = compiles(monkeypatch, certify, gf, other)
-    assert compiled == ([None] if len(cold.window) >= _COMPILE_FROM else [])
+    assert compiled == [None]
     assert warm.window == cold.window and len(cold.window) == size
     assert warm.refutation == cold.refutation and cold.refutation is not None
 

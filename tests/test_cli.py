@@ -296,6 +296,10 @@ HUGE = str(10**20)
     ["coeffs", "--parts", "1", "--shift", "0", "--upto", HUGE],
     ["certify", "--parts", "1", "--shift", HUGE, "--expr", "1"],
     ["certify", "--parts", HUGE, "--shift", "0", "--expr", "1"],
+    # the outer floor's period search asks expr_values for a block of
+    # 2*(10^19 + 51) values, a range too long for len()
+    ["certify", "--parts", "1", "--shift", "0", "--expr",
+     "floor(floor(n^2/10000000000000000051)/7)"],
 ])
 def test_index_too_large_to_allocate_exit_two(capsys, argv):
     # exit 1 would read as "refuted"; an index past the address space is bad input

@@ -19,8 +19,6 @@ from qpcert.closedform import (
     Sub,
     Var,
     _CODES_MAX,
-    _COMPILE_FROM,
-    _Column,
     _Source,
     _bounds,
     expr_bounds,
@@ -464,10 +462,10 @@ def test_expr_values_match_fraction_oracle(e, start, length):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_exprs(), _exprs(WIDE_DIVISORS, max_leaves=4)),
-       st.integers(min_value=-3000, max_value=100), st.integers(min_value=512, max_value=2048))
+       st.integers(min_value=-3000, max_value=100), st.integers(min_value=0, max_value=2048))
 def test_wide_expr_values_match_eval_and_oracle(e, start, length):
-    # a range this long is evaluated as compiled source text, not as a column
-    assert length >= _COMPILE_FROM
+    # every range, from the empty one to a certify-wide window, is evaluated
+    # as compiled source text
     ns = range(start, start + length)
     values = expr_values(e, ns)
     assert values == [expr_eval(e, n) for n in ns]
@@ -497,12 +495,13 @@ def test_wide_expr_values_bind_constants_by_name(monkeypatch):
                                   "floor(" * 210 + "n" + "/3)" * 210], ids=["neg", "sum", "floor"])
 def test_wide_expr_values_too_deep_to_compile_fall_back(monkeypatch, text):
     # each node of the source is one pair of parentheses, and compile
-    # refuses to nest 200; the column gives the values instead
+    # refuses to nest 200; each index is evaluated on its own instead, over
+    # a range or over a list such as the probe's indices near 10^30
     e = parse(text)
-    ns = range(-300, 300)
-    values, compiled = compiles(monkeypatch, expr_values, e, ns)
-    assert values == [expr_eval(e, n) for n in ns]
-    assert compiled == [SyntaxError]
+    for ns in (range(-300, 300), [10**30 + 7 * k for k in range(-20, 20)]):
+        values, compiled = compiles(monkeypatch, expr_values, e, ns)
+        assert values == [expr_eval(e, n) for n in ns]
+        assert compiled == [SyntaxError]
 
 
 def test_wide_expr_values_reuse_the_code_of_one_shape(monkeypatch):
@@ -527,8 +526,8 @@ def test_wide_expr_values_remember_a_text_too_deep_to_compile(monkeypatch):
 
 
 def test_wide_expr_values_forget_running_out_of_memory(monkeypatch):
-    # a compile that ran out of memory gives the column's values, and the
-    # next call of the same text compiles it again
+    # a compile that ran out of memory gives the values index by index, and
+    # the next call of the same text compiles it again
     e = parse("n^2 - 3*n")
     ns = range(600)
     calls = []
@@ -557,44 +556,18 @@ def test_wide_expr_values_keep_the_cache_within_its_bound(monkeypatch):
         assert 1 <= len(qpcert.closedform._CODES) <= _CODES_MAX
 
 
-def test_expr_values_takes_any_int_iterable():
+def test_expr_values_takes_any_int_iterable(monkeypatch):
     e = parse(ANDREWS)
     ns = [36, -13, 0, 36]
     assert expr_values(e, iter(ns)) == [expr_eval(e, n) for n in ns]
-    for bad in ([Fraction(1, 2)], [*range(_COMPILE_FROM), Fraction(1, 2)]):
+
+    def refused(bad):
         with pytest.raises(TypeError):
             expr_values(e, bad)
 
-
-def test_column_rejects_unsupported_operands():
-    col = _Column([1, 2, 3])
-    assert (2 * col).values == [2, 4, 6]
-    assert (col * 2).values == [2, 4, 6]
-    assert (1 + col).values == (col + 1).values == [2, 3, 4]
-    assert (10 - col).values == [9, 8, 7]
-    assert (col - col).values == [0, 0, 0]
-    assert (-col).values == [-1, -2, -3]
-    assert (col ** 2).values == [1, 4, 9]
-    assert ((-col) // 2).values == [-1, -1, -2]
-    _rejects_unsupported_operands(col)
-
-
-def _rejects_unsupported_operands(x):
-    """Binding x of n raises TypeError on any operand but an int or its own kind, and
-    as an exponent or a divisor."""
-    for other in (Fraction(1, 2), QuasiPoly.constant(1), [4], (4,), "4", 1.5):
-        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-            with pytest.raises(TypeError):
-                op(x, other)
-            with pytest.raises(TypeError):
-                op(other, x)
-        with pytest.raises(TypeError):
-            x ** other
-        with pytest.raises(TypeError):
-            x // other
-    for op in (lambda: x ** x, lambda: x // x, lambda: 2 ** x, lambda: 6 // x):
-        with pytest.raises(TypeError):
-            op()
+    # each index is read with operator.index before any text is compiled
+    for bad in ([Fraction(1, 2)], [*range(600), Fraction(1, 2)], iter([3, Fraction(4)])):
+        assert compiles(monkeypatch, refused, bad) == (None, [])
 
 
 def test_source_builds_text_and_rejects_unsupported_operands():
@@ -604,4 +577,18 @@ def test_source_builds_text_and_rejects_unsupported_operands():
     assert (3 - -n * 2 + n ** 2 // 5 - n).text == "(((c1-((-n)*c0))+((n**c2)//c3))-n)"
     assert scope == {"c0": 2, "c1": 3, "c2": 2, "c3": 5}
     assert (7 * n).text == "(n*c4)" and (n * 7).text == "(n*c5)"
-    _rejects_unsupported_operands(n)
+    # any operand but an int or a source raises TypeError, and so does a
+    # source as an exponent or a divisor
+    for other in (Fraction(1, 2), QuasiPoly.constant(1), [4], (4,), "4", 1.5):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(n, other)
+            with pytest.raises(TypeError):
+                op(other, n)
+        with pytest.raises(TypeError):
+            n ** other
+        with pytest.raises(TypeError):
+            n // other
+    for op in (lambda: n ** n, lambda: n // n, lambda: 2 ** n, lambda: 6 // n):
+        with pytest.raises(TypeError):
+            op()

@@ -105,15 +105,13 @@ GUARDS = {
     "coeffs": (["coeffs", "--parts", "1,2", "--num", "1,0,1", "--upto", "9"],
                PARSER + ["qpcert.certify", "qpcert.closedform", "qpcert.quasipoly",
                          "qpcert.triangles", "fractions"]),
+    # expr_values compiles the window, the period searches' blocks and the
+    # probe's list: the builtin compile needs none of the modules that read
+    # or show Python source
     "certify": (["certify", "--parts", "2,3,4", "--shift", "3", "--expr",
                  "round(n^2/12) - floor(n/4)*floor((n+2)/4)", "--probe", "9"],
-                PARSER + ["qpcert.triangles", "fractions", "decimal"]),
-    # a 1200-value window, whose values expr_values compiles: the builtin
-    # compile needs none of the modules that read or show Python source
-    "certify-wide": (["certify", "--parts", "1,600", "--shift", "0", "--expr",
-                      "floor(n/600) + 1"],
-                     PARSER + ["qpcert.triangles", "fractions", "decimal", "ast", "dis",
-                               "tokenize", "inspect"]),
+                PARSER + ["qpcert.triangles", "fractions", "decimal", "ast", "dis", "tokenize",
+                          "inspect"]),
     # the samples file is written by the test
     "fit": (["fit", "--values", "samples", "--dmax", "1", "--lmax", "2"], PARSER),
     "triangles-count": (["triangles", "count", "--perimeter", "12"], PARSER + ["fractions"]),

@@ -65,15 +65,17 @@ _COEFFS_AT = ("tests/test_genfunc.py",
               _FAR + "test_soundness_probe_far_past_any_expansion",
               _FAR + "test_far_probe_rejects_formula_that_departs_past_10_to_12",
               _FAR + "test_rebuild_model_matches_expression")
-# test_closedform.py checks expr_values against expr_eval and the Fraction
-# oracle on short ranges and on wide ones, which it compiles, with a
-# constant past the int-to-str limit and texts too deep to compile, pins
-# the source binding's text, and pins which calls reuse a compiled text and
-# that the cache of them stays within its bound; test_certify.py pins which
-# certify windows are compiled, cold and warm.  The fixed cases come first:
-# a wrong text or a stale cache entry fails them at once,
-# where the period searches of the rest of test_closedform.py could run on
-# wrong values to the time limit
+# test_closedform.py checks expr_values, which compiles every range and
+# list it is given, against expr_eval and the Fraction oracle on ranges of
+# 0 to 2048 values, with a constant past the int-to-str limit and with
+# texts too deep to compile, over a range and over a list near 10^30; it
+# pins the source binding's text, that an index that is not an int raises
+# before any compile, which calls reuse a compiled text and that the cache
+# of them stays within its bound; test_certify.py pins how many texts a
+# certify window and the full period search compile, cold and warm.  The
+# fixed cases come first: a wrong text or a stale cache entry fails them at
+# once, where the period searches of the rest of test_closedform.py could
+# run on wrong values to the time limit
 _CF = "tests/test_closedform.py::"
 _VALUES = tuple(_CF + name for name in (
     "test_source_builds_text_and_rejects_unsupported_operands",
@@ -126,10 +128,13 @@ EXTRA = {
     "genfunc.RationalGF.period_bound": [
         ("the largest part, not lcm(parts)", "math.lcm(*self.parts)", "max(self.parts)"),
     ],
-    # expr_values' fork, and edits of the text that the source binding's
-    # operators build, which no operator swap reaches
+    # how expr_values reads its indices and falls back, and edits of the
+    # text that the source binding's operators build, which no operator
+    # swap reaches
     "closedform.expr_values": [
-        ("compile every range", "len(ns) >= _COMPILE_FROM", "len(ns) >= 0"),
+        ("a list read without operator.index", "list(map(operator.index, ns))", "list(ns)"),
+        ("the fallback repeats the first value", "[_interpret(e, n) for n in ns]",
+         "[_interpret(e, ns[0]) for n in ns]"),
         ("no fallback past the parser's nesting limit", "except (SyntaxError, RecursionError",
          "except (RecursionError"),
         # the cache of compiled texts: each of these reuses what an earlier
@@ -191,10 +196,6 @@ _EMPTY_TAIL = "adds one start at or past the series' end, whose slices are empty
 
 # label -> why the mutant changes no certificate
 EQUIVALENT = {
-    "closedform.expr_values: isinstance(ns, range) and len(ns) >= _COMPILE_FROM -> "
-    "isinstance(ns, range) and len(ns) > _COMPILE_FROM":
-        "moves the threshold between the column and the compiled text by one index; "
-        "both paths give the same values",
     "closedform._floor_period: d == 0 -> d == -1":
         "a shortcut: with d = 0 every block is empty, so every test passes and "
         "the descent divides t down to 1, or given a cover only while that "
